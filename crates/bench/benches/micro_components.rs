@@ -106,9 +106,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(encoder.encode(black_box(summary))));
     });
 
-    // LSH index build + probe over a catalogue-sized store.
+    // Exact k-NN over a catalogue-sized store.
     {
-        use rm_embed::ann::SignLshIndex;
         use rm_embed::EmbeddingStore;
         let texts: Vec<String> = (0..2_332)
             .map(|i| {
@@ -122,10 +121,6 @@ fn bench(c: &mut Criterion) {
             })
             .collect();
         let store = EmbeddingStore::encode_all(&encoder, &texts);
-        let index = SignLshIndex::build(&store, 14, 3);
-        c.bench_function("micro/lsh_probe_r2", |b| {
-            b.iter(|| black_box(index.search(&store, store.embedding(17), 20, 2, Some(17))));
-        });
         c.bench_function("micro/bruteforce_knn", |b| {
             b.iter(|| black_box(store.nearest(17, 20)));
         });

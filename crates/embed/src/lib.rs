@@ -19,13 +19,11 @@
 //!    TF-IDF vectors);
 //! 4. [`store`] — an embedding store with batch similarity and exact
 //!    brute-force k-NN over the catalogue;
-//! 5. [`ann`] — a random-hyperplane LSH index for approximate k-NN at
-//!    full-library-catalogue scale;
-//! 6. [`ivf`] — the deterministic IVF index behind the serve pipeline's
+//! 5. [`ivf`] — the deterministic IVF index behind the serve pipeline's
 //!    sub-linear candidate sources: seeded k-means coarse quantizer,
 //!    cosine retrieval over embeddings and MIPS retrieval over BPR item
 //!    factors via the augmented-dimension reduction;
-//! 7. [`exact`] — a vocabulary-backed exact TF-IDF encoder, the reference
+//! 6. [`exact`] — a vocabulary-backed exact TF-IDF encoder, the reference
 //!    against which the hashed projection's cosine distortion is measured
 //!    (tests assert the DESIGN.md distortion claim).
 //!
@@ -34,7 +32,6 @@
 //! which this encoder preserves; deep paraphrase understanding is not
 //! exercised by any experiment.
 
-pub mod ann;
 pub mod encoder;
 pub mod exact;
 pub mod idf;

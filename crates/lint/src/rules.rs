@@ -124,8 +124,8 @@ pub static RULES: &[Rule] = &[
         message: "direct recommender call bypasses the candidate pipeline's provenance, \
                   merge, and filter stages",
         fix_hint: "route the request through the pipeline stages (sources \u{2192} merge \u{2192} \
-                   filters \u{2192} rank) so every answer carries provenance; allowlist only \
-                   the degraded fallback walk",
+                   filters \u{2192} rank) so every answer carries provenance; the fallback \
+                   chain is the pipeline's terminal stage, not a direct call",
         scope: "crates/serve/src/** except src/pipeline/** (cfg(test) exempt)",
         test_exempt: true,
         applies: |p| {
@@ -227,7 +227,8 @@ static EXPLAIN: &[(&str, &str, &str)] = &[
         "recommender-call-outside-pipeline",
         "Every served answer must carry provenance (which source, which stage, why). A direct \
          model.recommend() in serve code skips the sources → merge → filters → rank pipeline, \
-         producing unexplainable answers; only the degraded fallback walk is allowlisted.",
+         producing unexplainable answers; even the fallback chain serves through the \
+         pipeline's terminal sources, so the rule has no exception.",
         "error[recommender-call-outside-pipeline]: direct recommender call bypasses the \
          candidate pipeline's provenance, merge, and filter stages\n  --> \
          crates/serve/src/engine.rs:1736:32",
@@ -658,7 +659,7 @@ pub(crate) fn check_float_accum(t: &[Token]) -> Vec<usize> {
 
 /// Rule 7: `. recommend|recommend_batch|recommend_batch_into|rank_all (`
 /// — direct model invocations on the serving path must live inside the
-/// pipeline modules (or the allowlisted degraded fallback walk).
+/// pipeline modules.
 fn check_recommender_call(t: &[Token]) -> Vec<usize> {
     let mut out = Vec::new();
     for i in 0..t.len() {

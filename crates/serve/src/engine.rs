@@ -8,24 +8,27 @@
 //! candidate pools, the pools are merged and filtered, and the primary
 //! source's model re-scores the survivors down to top-k. Users the
 //! pipeline could not serve — every source degraded, breaker-open,
-//! panicking, or simply empty-handed — fall back to the legacy chain
-//! walk (default BPR → Closest Items → Most Read Items → Random Items),
-//! served by the first remaining slot that is healthy **and** returns a
-//! non-empty list. A slot degrades — without failing the load — when
-//! its artifact is missing, truncated, checksum-corrupted, or
-//! dimensionally incompatible with the training interactions; a healthy
-//! slot still falls through when it has nothing to say (e.g. Closest
-//! Items for a reader with no history).
+//! panicking, or simply empty-handed — go to the pipeline's terminal
+//! stage: the remaining fallback-chain slots (default BPR → Closest
+//! Items → Most Read Items → Random Items), each an exact-scan source
+//! whose own top-k answers the first time it is healthy **and**
+//! non-empty. A slot degrades — without failing the load — when its
+//! artifact is missing, truncated, checksum-corrupted, or dimensionally
+//! incompatible with the training interactions; a healthy slot still
+//! falls through when it has nothing to say (e.g. Closest Items for a
+//! reader with no history). The brownout level picks which sources,
+//! filters, and terminal slots run from a plan table built once at load.
 //!
-//! Runtime failures degrade the same way instead of taking serving down:
+//! Runtime failures degrade the same way instead of taking serving down.
+//! Every slot call, source or terminal, runs inside one fault envelope:
 //!
-//! * every slot call runs under [`std::panic::catch_unwind`], so a
-//!   panicking model degrades the affected requests down the chain;
+//! * the call runs under panic isolation, so a panicking model
+//!   degrades the affected requests to the next slot;
 //! * an optional per-slot budget ([`EngineConfig::slot_budget`]) cuts
 //!   off slow slot calls — the answers are discarded, a timeout is
-//!   recorded, and the chain advances — while an optional whole-request
-//!   budget ([`EngineConfig::request_budget`]) stops the chain walk once
-//!   a request's [`Deadline`] expires;
+//!   recorded, and the next slot is tried — while an optional
+//!   whole-request budget ([`EngineConfig::request_budget`]) stops the
+//!   chunk once a request's [`Deadline`] expires;
 //! * each slot carries a [`CircuitBreaker`]: repeated failures (panics,
 //!   timeouts, injected errors) open it and the slot is skipped without
 //!   being attempted until a cooldown admits a half-open probe;
@@ -55,7 +58,7 @@ use crate::pipeline::{
     merge_into, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres,
     Candidate, CandidateFilter, CandidateSource, CfNeighboursSource, ContentSimilarSource,
     Explanation, FallbackSource, FilterCtx, MostReadSource, PipelineConfig,
-    QuantCfNeighboursSource, Reason, SourceId,
+    QuantCfNeighboursSource, SourceId,
 };
 use crate::registry::{ArtifactRegistry, LoadedArtifacts};
 use rm_core::bpr::{Bpr, BprConfig};
@@ -142,12 +145,12 @@ pub struct EngineConfig {
     pub random_seed: u64,
     /// Per-slot-call time budget: a call exceeding it is cut off (its
     /// answers discarded, a timeout recorded, the breaker notified) and
-    /// the chain advances. `None` disables the check — and its two
+    /// the next slot is tried. `None` disables the check — and its two
     /// clock reads — entirely.
     pub slot_budget: Option<Duration>,
     /// Whole-request budget: each request carries a [`Deadline`] this
-    /// far in the future, and once it expires the chain walk stops (the
-    /// remaining requests answer empty, counted as deadline skips).
+    /// far in the future, and once it expires the chunk stops serving
+    /// (the remaining requests answer empty, counted as deadline skips).
     /// `None` disables the check.
     pub request_budget: Option<Duration>,
     /// Per-slot circuit-breaker configuration; `None` disables breakers.
@@ -212,8 +215,9 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Sets the fallback chain (slots tried in order on the degraded
-    /// path; the head also seeds the default pipeline source).
+    /// Sets the fallback chain (the terminal slots, tried in order for
+    /// users the pipeline left empty; the head also seeds the default
+    /// pipeline source).
     pub fn chain(mut self, chain: Vec<ModelSlot>) -> Self {
         self.config.chain = chain;
         self
@@ -388,6 +392,73 @@ pub struct QueuedOutcome {
     pub sojourn: Duration,
 }
 
+/// What one brownout level leaves of the pipeline (DESIGN.md §16). The
+/// engine builds one plan per [`DegradationLevel`] at load, so a chunk
+/// looks its plan up instead of assembling slot lists per request.
+#[derive(Debug)]
+struct PipelinePlan {
+    /// Slots run as candidate sources, in priority order.
+    sources: Vec<ModelSlot>,
+    /// Whether the configured filters prune the merged pool.
+    filters: bool,
+    /// Slots whose own exact top-k answers, in order, the users the
+    /// pipeline left empty; slots already run as sources are left out.
+    terminals: Vec<ModelSlot>,
+}
+
+impl PipelinePlan {
+    /// The plan for `level`, from the fallback `chain` and the
+    /// configured pipeline `sources` (`None`: the chain's head alone,
+    /// which reproduces the pre-pipeline chain bit-for-bit). CF
+    /// neighbours and content similarity are the expensive slots; the
+    /// most-read list is the cheap floor that stands in when pruning
+    /// leaves nothing.
+    fn new(chain: &[ModelSlot], sources: Option<&[ModelSlot]>, level: DegradationLevel) -> Self {
+        let cheap = |slots: &[ModelSlot], floor: &[ModelSlot]| {
+            let kept: Vec<ModelSlot> = slots
+                .iter()
+                .copied()
+                .filter(|s| !matches!(s, ModelSlot::Bpr | ModelSlot::ClosestItems))
+                .collect();
+            if kept.is_empty() {
+                floor.to_vec()
+            } else {
+                kept
+            }
+        };
+        let configured = sources.unwrap_or(&chain[..chain.len().min(1)]);
+        let cheap_sources = || cheap(configured, &[ModelSlot::MostRead]);
+        // Most-read plus the random fallback as never-empty insurance
+        // (degrade, don't go dark).
+        let floor = [ModelSlot::MostRead, ModelSlot::Random];
+        let (sources, filters, walk) = match level {
+            DegradationLevel::Full => (configured.to_vec(), true, chain.to_vec()),
+            DegradationLevel::DropExpensiveSources => (cheap_sources(), true, chain.to_vec()),
+            DegradationLevel::SkipFilters => (cheap_sources(), false, chain.to_vec()),
+            // The deepest levels bypass the pipeline: terminals answer all.
+            DegradationLevel::LegacyFallback => (Vec::new(), false, cheap(chain, &floor)),
+            DegradationLevel::MostReadOnly => (Vec::new(), false, floor.to_vec()),
+        };
+        let terminals = walk.into_iter().filter(|s| !sources.contains(s)).collect();
+        Self {
+            sources,
+            filters,
+            terminals,
+        }
+    }
+}
+
+/// How one slot call through the fault envelope ended.
+enum SlotRun {
+    /// The slot's source emitted one candidate list per pending user.
+    Emitted(Vec<Vec<Candidate>>),
+    /// Skipped or failed (degraded, breaker open, injected error, panic,
+    /// timeout): every pending user falls through to the next slot.
+    FellThrough,
+    /// The request deadline had expired: the chunk stops serving.
+    Expired,
+}
+
 /// The offline-trained / online-serving recommendation engine.
 #[derive(Debug)]
 pub struct ServingEngine {
@@ -422,6 +493,8 @@ pub struct ServingEngine {
     /// install time; empty when fully active or simply not published.
     quant_notes: Vec<String>,
     degraded: Vec<(ModelSlot, String)>,
+    /// The pipeline plan per brownout level, by [`DegradationLevel::index`].
+    plans: [PipelinePlan; DegradationLevel::COUNT],
     cache: Mutex<LruCache<CacheKey, Vec<u32>>>,
     breakers: Option<Mutex<[CircuitBreaker; ModelSlot::COUNT]>>,
     governor: Option<Mutex<OverloadGovernor>>,
@@ -458,6 +531,9 @@ impl ServingEngine {
                 config.clock.now(),
             ))
         });
+        let plans = DegradationLevel::ALL.map(|level| {
+            PipelinePlan::new(&config.chain, config.pipeline.sources.as_deref(), level)
+        });
         let mut engine = Self {
             config,
             train: train.clone(),
@@ -473,6 +549,7 @@ impl ServingEngine {
             quant_content_active: false,
             quant_notes: Vec::new(),
             degraded: Vec::new(),
+            plans,
             cache: Mutex::new(LruCache::new(cache_capacity)),
             breakers,
             governor,
@@ -982,78 +1059,51 @@ impl ServingEngine {
         }
     }
 
-    /// Wraps `slot`'s loaded model as its pipeline candidate source
-    /// (`None` when the slot is degraded, mirroring [`Self::slot_model`]).
-    fn slot_source(&self, slot: ModelSlot) -> Option<Box<dyn CandidateSource + '_>> {
+    /// Wraps `slot`'s loaded model as its candidate source (`None` when
+    /// the slot is degraded, mirroring [`Self::slot_model`]). `exact`
+    /// asks for the exact-scan f32 source even when IVF or quantized
+    /// artifacts are active: a terminal slot answers exactly what its
+    /// model would.
+    fn slot_source(&self, slot: ModelSlot, exact: bool) -> Option<Box<dyn CandidateSource + '_>> {
         let nprobe = self.config.pipeline.ann_nprobe;
-        match slot {
+        let ann = self.ann.as_ref().filter(|_| !exact);
+        let source: Box<dyn CandidateSource + '_> = match slot {
             ModelSlot::Bpr => {
-                self.bpr
-                    .as_ref()
-                    .map(|m| match self.ann.as_ref().and_then(|a| a.cf.as_ref()) {
-                        Some(idx) => {
-                            let src = AnnCfNeighboursSource::new(m, &self.train, idx, nprobe);
-                            match self.quant_cf_rows() {
-                                Some((qu, qi)) => {
-                                    Box::new(src.with_quant(qu, qi)) as Box<dyn CandidateSource>
-                                }
-                                None => Box::new(src) as Box<dyn CandidateSource>,
-                            }
-                        }
-                        None => match self.quant.as_ref().filter(|_| self.quant_cf_active) {
-                            Some(art) => Box::new(QuantCfNeighboursSource::new(art, &self.train))
-                                as Box<dyn CandidateSource>,
-                            None => {
-                                Box::new(CfNeighboursSource::new(m)) as Box<dyn CandidateSource>
-                            }
-                        },
-                    })
-            }
-            ModelSlot::ClosestItems => self.closest.as_ref().map(|m| {
-                match self.ann.as_ref().and_then(|a| a.content.as_ref()) {
-                    Some(idx) => {
-                        let src = AnnContentSimilarSource::new(m, &self.train, idx, nprobe);
-                        match self.quant_embedding_rows() {
-                            Some(qe) => Box::new(src.with_quant(qe)) as Box<dyn CandidateSource>,
-                            None => Box::new(src) as Box<dyn CandidateSource>,
-                        }
+                let m = self.bpr.as_ref()?;
+                let quant = self.quant_cf_rows().filter(|_| !exact);
+                match (ann.and_then(|a| a.cf.as_ref()), quant) {
+                    (Some(idx), Some((qu, qi))) => Box::new(
+                        AnnCfNeighboursSource::new(m, &self.train, idx, nprobe).with_quant(qu, qi),
+                    ),
+                    (Some(idx), None) => {
+                        Box::new(AnnCfNeighboursSource::new(m, &self.train, idx, nprobe))
                     }
-                    None => Box::new(ContentSimilarSource::new(m, &self.train))
-                        as Box<dyn CandidateSource>,
+                    (None, Some(_)) => Box::new(QuantCfNeighboursSource::new(
+                        self.quant.as_ref()?,
+                        &self.train,
+                    )),
+                    (None, None) => Box::new(CfNeighboursSource::new(m)),
                 }
-            }),
-            ModelSlot::MostRead => self
-                .most_read
-                .as_ref()
-                .map(|m| Box::new(MostReadSource::new(m)) as Box<dyn CandidateSource>),
-            ModelSlot::Random => Some(
-                Box::new(FallbackSource::new(ModelSlot::Random, &self.random))
-                    as Box<dyn CandidateSource>,
-            ),
-        }
-    }
-
-    /// Provenance reason for a book served by `slot` on the degraded
-    /// chain path. Pipeline sources stamp reasons at emission time; the
-    /// legacy walk reconstructs them on demand (explain requests only).
-    fn reason_for(&self, slot: ModelSlot, user: UserIdx, book: u32) -> Reason {
-        match slot {
-            ModelSlot::Bpr => Reason::CfNeighbours,
-            ModelSlot::ClosestItems => self
-                .closest
-                .as_ref()
-                .and_then(|c| crate::pipeline::anchor_book(c, self.train.seen(user)))
-                .map_or(Reason::Exploration, |anchor| Reason::SimilarToBorrowed {
-                    anchor,
-                }),
-            ModelSlot::MostRead => Reason::MostRead {
-                count: self
-                    .most_read
-                    .as_ref()
-                    .map_or(0, |m| m.count(BookIdx(book))),
-            },
-            ModelSlot::Random => Reason::Exploration,
-        }
+            }
+            ModelSlot::ClosestItems => {
+                let m = self.closest.as_ref()?;
+                match (
+                    ann.and_then(|a| a.content.as_ref()),
+                    self.quant_embedding_rows(),
+                ) {
+                    (Some(idx), Some(qe)) => Box::new(
+                        AnnContentSimilarSource::new(m, &self.train, idx, nprobe).with_quant(qe),
+                    ),
+                    (Some(idx), None) => {
+                        Box::new(AnnContentSimilarSource::new(m, &self.train, idx, nprobe))
+                    }
+                    (None, _) => Box::new(ContentSimilarSource::new(m, &self.train)),
+                }
+            }
+            ModelSlot::MostRead => Box::new(MostReadSource::new(self.most_read.as_ref()?)),
+            ModelSlot::Random => Box::new(FallbackSource::new(ModelSlot::Random, &self.random)),
+        };
+        Some(source)
     }
 
     /// Asks `slot`'s breaker to admit a call, folding any state
@@ -1250,7 +1300,7 @@ impl ServingEngine {
     }
 
     /// Top-`k` books for `user`, served by the candidate pipeline with
-    /// the fallback chain as the degraded path. An unknown user (outside
+    /// the fallback chain as its terminal stage. An unknown user (outside
     /// the training matrix) gets an empty list. The call records
     /// latency, cache, and per-slot counters.
     pub fn recommend(&self, user: UserIdx, k: usize) -> Vec<u32> {
@@ -1288,19 +1338,18 @@ impl ServingEngine {
     }
 
     /// [`ServingEngine::serve_chunk`] with optional per-user explanation
-    /// capture. The chunk runs the pipeline in three stages:
+    /// capture. The chunk runs the pipeline in three stages, every slot
+    /// call inside the one fault envelope (`run_slot`):
     ///
-    /// 1. **Sources** — each configured source slot gets one attempt
-    ///    over the whole chunk, inside the same fault envelope a legacy
-    ///    chain slot had (deadline check, degradation, circuit breaker,
-    ///    fault injection, panic isolation, slot budget);
+    /// 1. **Sources** — each of the plan's source slots gets one attempt
+    ///    over the whole chunk;
     /// 2. **Merge → filters → rank** — per user, the emissions are
     ///    pooled (first-source-wins provenance), pruned by the
     ///    configured filters, and re-scored by the primary source's
     ///    model down to top-k;
-    /// 3. **Degraded chain walk** — users the pipeline could not serve
-    ///    walk the remaining fallback-chain slots exactly as before the
-    ///    pipeline existed (each slot gets one attempt per chunk).
+    /// 3. **Terminals** — users the pipeline could not serve try the
+    ///    plan's terminal slots in order, each slot's exact-scan source
+    ///    answering with its own top-k (one attempt per slot per chunk).
     ///
     /// When `explain` is `Some`, the cache is bypassed in both
     /// directions (cached answers carry no provenance) and the vector is
@@ -1308,11 +1357,11 @@ impl ServingEngine {
     /// returned answers.
     ///
     /// `level` is the brownout rung the chunk serves at
-    /// (DESIGN.md §16): [`DegradationLevel::Full`] runs everything
-    /// exactly as configured; deeper levels prune expensive sources,
-    /// then filters, then the pipeline itself, down to the most-read
-    /// list. Degraded answers are never written to the cache — only
-    /// full-service lists may outlive the brownout.
+    /// (DESIGN.md §16) and selects its plan: [`DegradationLevel::Full`]
+    /// runs everything exactly as configured; deeper levels prune
+    /// expensive sources, then filters, then the pipeline itself, down
+    /// to the most-read list. Degraded answers are never written to the
+    /// cache — only full-service lists may outlive the brownout.
     #[allow(clippy::too_many_lines)] // one request's full story reads best in one place
     fn serve_chunk_with(
         &self,
@@ -1366,186 +1415,29 @@ impl ServingEngine {
             .config
             .request_budget
             .map(|budget| Deadline::after(&*self.config.clock, budget));
+        let plan = &self.plans[level.index()];
         let mut remaining = misses.clone();
-        let mut deadline_hit = false;
+        let mut expired = false;
 
         // ---- Stage 1: candidate sources fan out ------------------------
-        // The brownout level prunes the configured pipeline
-        // (DESIGN.md §16): CF neighbours and content similarity are the
-        // expensive stages, the most-read list is the cheap floor.
-        let expensive = |s: ModelSlot| matches!(s, ModelSlot::Bpr | ModelSlot::ClosestItems);
-        let base_sources: Vec<ModelSlot> = match &self.config.pipeline.sources {
-            Some(slots) => slots.clone(),
-            // Default: the chain's head as the single source, which
-            // reproduces the legacy chain's behaviour bit-for-bit.
-            None => self.config.chain.first().copied().into_iter().collect(),
-        };
-        let source_slots: Vec<ModelSlot> = match level {
-            DegradationLevel::Full => base_sources,
-            DegradationLevel::DropExpensiveSources | DegradationLevel::SkipFilters => {
-                let cheap: Vec<ModelSlot> = base_sources
-                    .into_iter()
-                    .filter(|&s| !expensive(s))
-                    .collect();
-                if cheap.is_empty() {
-                    // Every configured source was expensive: substitute
-                    // the popularity source so the pipeline still runs.
-                    vec![ModelSlot::MostRead]
-                } else {
-                    cheap
-                }
-            }
-            // The deepest levels bypass the pipeline entirely; the
-            // degraded chain walk below answers everything.
-            DegradationLevel::LegacyFallback | DegradationLevel::MostReadOnly => Vec::new(),
-        };
-        let apply_filters = matches!(
-            level,
-            DegradationLevel::Full | DegradationLevel::DropExpensiveSources
-        );
-        let degraded_chain: Vec<ModelSlot> = match level {
-            DegradationLevel::LegacyFallback => {
-                let cheap: Vec<ModelSlot> = self
-                    .config
-                    .chain
-                    .iter()
-                    .copied()
-                    .filter(|&s| !expensive(s))
-                    .collect();
-                if cheap.is_empty() {
-                    vec![ModelSlot::MostRead, ModelSlot::Random]
-                } else {
-                    cheap
-                }
-            }
-            // "Most-read only", with the terminal random fallback kept
-            // as never-empty insurance (degrade, don't go dark).
-            DegradationLevel::MostReadOnly => vec![ModelSlot::MostRead, ModelSlot::Random],
-            _ => self.config.chain.clone(),
-        };
         let pool_size = self.config.pipeline.pool_size.max(k);
         let mut emitted: Vec<(ModelSlot, Vec<Vec<Candidate>>)> = Vec::new();
-        if !remaining.is_empty() {
-            for &slot in &source_slots {
-                if let Some(d) = deadline {
-                    if d.expired(&*self.config.clock) {
-                        stats.deadline_skips += remaining.len() as u64;
-                        tracer.event("deadline_expired", |f| {
-                            f.push("skipped", remaining.len());
-                        });
-                        deadline_hit = true;
+        if !remaining.is_empty() && !plan.sources.is_empty() {
+            let pending: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
+            for &slot in &plan.sources {
+                match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
+                    SlotRun::Emitted(candidates) => emitted.push((slot, candidates)),
+                    SlotRun::FellThrough => {}
+                    SlotRun::Expired => {
+                        expired = true;
                         break;
                     }
                 }
-                let Some(source) = self.slot_source(slot) else {
-                    // Degraded slot: every remaining request falls through.
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "degraded");
-                    });
-                    continue;
-                };
-                if !self.breaker_admit(slot, &mut stats) {
-                    stats.breaker_skips[slot.index()] += 1;
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "breaker_open");
-                    });
-                    continue;
-                }
-                // The budget clock starts before fault injection so injected
-                // latency counts against the slot like real slowness would.
-                let slot_started = self.config.slot_budget.map(|_| self.config.clock.now());
-                #[cfg(feature = "testing")]
-                let injected = self.faults.on_call(slot);
-                #[cfg(feature = "testing")]
-                {
-                    if let Some(d) = injected.latency {
-                        self.config.clock.sleep(d);
-                    }
-                    if injected.error {
-                        self.breaker_failure(slot, &mut stats);
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "injected_error");
-                        });
-                        continue;
-                    }
-                }
-                let chunk_users: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "testing")]
-                    if injected.panic {
-                        panic!("injected fault: {} slot panic", slot.label());
-                    }
-                    let mut candidates: Vec<Vec<Candidate>> = Vec::new();
-                    source.emit_batch(&chunk_users, pool_size, &mut candidates);
-                    candidates
-                }));
-                let candidates = match outcome {
-                    Ok(candidates) => candidates,
-                    Err(_) => {
-                        // The source panicked: isolate it, degrade the
-                        // chunk to the later stages, and let the breaker
-                        // see a failure.
-                        stats.panics[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "panic");
-                        });
-                        continue;
-                    }
-                };
-                if let (Some(budget), Some(started)) = (self.config.slot_budget, slot_started) {
-                    let elapsed = self.config.clock.now().saturating_sub(started);
-                    if elapsed > budget {
-                        // Too slow: cut the source off (its candidates
-                        // are discarded) and move on.
-                        stats.timeouts[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "timeout")
-                                .push("elapsed_ns", elapsed.as_nanos() as u64);
-                        });
-                        continue;
-                    }
-                }
-                self.breaker_success(slot, &mut stats);
-                let mut emitted_for = 0usize;
-                for per_user in &candidates {
-                    if per_user.is_empty() {
-                        // A healthy source with nothing to say (e.g.
-                        // content similarity on an empty history) falls
-                        // through like a legacy empty answer did.
-                        stats.fallbacks[slot.index()] += 1;
-                    } else {
-                        emitted_for += 1;
-                    }
-                }
-                tracer.event("slot_call", |f| {
-                    f.push("slot", slot.metric_label())
-                        .push("requests", remaining.len())
-                        .push("outcome", "ok")
-                        .push("served", emitted_for);
-                });
-                emitted.push((slot, candidates));
             }
         }
 
         // ---- Stage 2: merge → filters → rank ---------------------------
-        if !deadline_hit && !emitted.is_empty() {
+        if !expired && !emitted.is_empty() {
             // The highest-priority source that emitted supplies the
             // rank-stage scoring model; with the default single source
             // this reproduces the legacy slot's own ranking bit-for-bit.
@@ -1574,7 +1466,7 @@ impl ServingEngine {
                     seen: self.train.seen(user),
                     genres,
                 };
-                if apply_filters {
+                if plan.filters {
                     for filter in &self.config.pipeline.filters {
                         filter.retain(&ctx, &mut pool);
                     }
@@ -1605,16 +1497,15 @@ impl ServingEngine {
                 };
                 if !ranked_ok {
                     // Empty pool, everything filtered out, or the primary
-                    // model vanished: the degraded chain walk below gets
-                    // another shot at this user.
+                    // model vanished: the terminal stage gets another
+                    // shot at this user.
                     still_empty.push(i);
                     continue;
                 }
                 // Attribute the serve to the slot whose source proposed
                 // the winning (top-ranked) book.
                 let winner = pool.iter().find(|c| c.book == ranked[0]).map(|c| c.source);
-                let slot = winner.and_then(SourceId::slot).unwrap_or(primary);
-                stats.served[slot.index()] += 1;
+                stats.served[winner.map_or(primary, SourceId::slot).index()] += 1;
                 if let Some(ex) = explain.as_deref_mut() {
                     ex[i] = ranked
                         .iter()
@@ -1632,143 +1523,42 @@ impl ServingEngine {
             remaining = still_empty;
         }
 
-        // ---- Stage 3: degraded fallback chain --------------------------
-        // Users the pipeline could not serve walk the legacy chain,
-        // skipping the slots that already ran as sources (every slot gets
-        // at most one attempt per chunk, exactly as before the pipeline).
-        if !deadline_hit {
-            for &slot in &degraded_chain {
-                if remaining.is_empty() {
-                    break;
-                }
-                if source_slots.contains(&slot) {
-                    continue;
-                }
-                if let Some(d) = deadline {
-                    if d.expired(&*self.config.clock) {
-                        stats.deadline_skips += remaining.len() as u64;
-                        tracer.event("deadline_expired", |f| {
-                            f.push("skipped", remaining.len());
-                        });
-                        break;
-                    }
-                }
-                let Some(model) = self.slot_model(slot) else {
-                    // Degraded slot: every remaining request falls through.
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "degraded");
-                    });
-                    continue;
-                };
-                if !self.breaker_admit(slot, &mut stats) {
-                    stats.breaker_skips[slot.index()] += 1;
-                    stats.fallbacks[slot.index()] += remaining.len() as u64;
-                    tracer.event("slot_call", |f| {
-                        f.push("slot", slot.metric_label())
-                            .push("requests", remaining.len())
-                            .push("outcome", "breaker_open");
-                    });
-                    continue;
-                }
-                // The budget clock starts before fault injection so injected
-                // latency counts against the slot like real slowness would.
-                let slot_started = self.config.slot_budget.map(|_| self.config.clock.now());
-                #[cfg(feature = "testing")]
-                let injected = self.faults.on_call(slot);
-                #[cfg(feature = "testing")]
-                {
-                    if let Some(d) = injected.latency {
-                        self.config.clock.sleep(d);
-                    }
-                    if injected.error {
-                        self.breaker_failure(slot, &mut stats);
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "injected_error");
-                        });
-                        continue;
-                    }
-                }
-                let chunk_users: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "testing")]
-                    if injected.panic {
-                        panic!("injected fault: {} slot panic", slot.label());
-                    }
-                    model.recommend_batch(&chunk_users, k)
-                }));
-                let answers = match outcome {
-                    Ok(answers) => answers,
-                    Err(_) => {
-                        // The slot panicked: isolate it, degrade the chunk
-                        // down the chain, and let the breaker see a failure.
-                        stats.panics[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "panic");
-                        });
-                        continue;
-                    }
-                };
-                if let (Some(budget), Some(started)) = (self.config.slot_budget, slot_started) {
-                    let elapsed = self.config.clock.now().saturating_sub(started);
-                    if elapsed > budget {
-                        // Too slow: cut the slot off (its answers are
-                        // discarded) and advance the chain.
-                        stats.timeouts[slot.index()] += 1;
-                        stats.fallbacks[slot.index()] += remaining.len() as u64;
-                        self.breaker_failure(slot, &mut stats);
-                        tracer.event("slot_call", |f| {
-                            f.push("slot", slot.metric_label())
-                                .push("requests", remaining.len())
-                                .push("outcome", "timeout")
-                                .push("elapsed_ns", elapsed.as_nanos() as u64);
-                        });
-                        continue;
-                    }
-                }
-                self.breaker_success(slot, &mut stats);
-                let attempted = remaining.len();
-                let mut still_empty = Vec::new();
-                for (&i, books) in remaining.iter().zip(answers) {
-                    if books.is_empty() {
-                        // Healthy slot with nothing to say (e.g. Closest
-                        // Items for an empty history): fall through too.
-                        stats.fallbacks[slot.index()] += 1;
-                        still_empty.push(i);
-                    } else {
-                        stats.served[slot.index()] += 1;
-                        if let Some(ex) = explain.as_deref_mut() {
-                            ex[i] = books
-                                .iter()
-                                .map(|&b| Explanation {
-                                    book: b,
-                                    source: SourceId::Fallback(slot),
-                                    reason: self.reason_for(slot, users[i], b),
-                                })
-                                .collect();
-                        }
-                        out[i] = Some(books);
-                    }
-                }
-                tracer.event("slot_call", |f| {
-                    f.push("slot", slot.metric_label())
-                        .push("requests", attempted)
-                        .push("outcome", "ok")
-                        .push("served", attempted - still_empty.len());
-                });
-                remaining = still_empty;
+        // ---- Stage 3: terminal slots -----------------------------------
+        // Users the pipeline could not serve take the first non-empty
+        // exact top-k of the plan's terminal slots, in emission order,
+        // re-stamped as that slot's fallback provenance.
+        for &slot in &plan.terminals {
+            if expired || remaining.is_empty() {
+                break;
             }
+            let pending: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
+            let candidates = match self.run_slot(slot, true, &pending, k, deadline, &mut stats) {
+                SlotRun::Emitted(candidates) => candidates,
+                SlotRun::FellThrough => continue,
+                SlotRun::Expired => break,
+            };
+            let mut still_empty = Vec::new();
+            for (&i, answer) in remaining.iter().zip(&candidates) {
+                if answer.is_empty() {
+                    still_empty.push(i);
+                    continue;
+                }
+                stats.served[slot.index()] += 1;
+                if let Some(ex) = explain.as_deref_mut() {
+                    ex[i] = answer
+                        .iter()
+                        .map(|c| Explanation {
+                            book: c.book,
+                            source: SourceId::Fallback(slot),
+                            reason: c.reason,
+                        })
+                        .collect();
+                }
+                out[i] = Some(answer.iter().map(|c| c.book).collect());
+            }
+            remaining = still_empty;
         }
-        // Pipeline and chain exhausted (or deadline expired): empty
+        // Sources and terminals exhausted (or deadline expired): empty
         // answers, not served by any slot.
         for i in remaining {
             out[i] = Some(Vec::new());
@@ -1802,6 +1592,106 @@ impl ServingEngine {
         // All slots are Some by construction; degrade a hole to an empty
         // answer instead of panicking in the serving path.
         out.into_iter().map(Option::unwrap_or_default).collect()
+    }
+
+    /// The fault envelope around one slot call, source or terminal, over
+    /// the chunk's `pending` users — the only one on the serving path.
+    /// In order: the request deadline, a degraded slot, breaker
+    /// admission, fault injection, panic isolation, and the slot budget,
+    /// each call ending in one `slot_call` trace event. `terminal` asks
+    /// for the slot's exact-scan source; `n` caps each user's emission.
+    /// The users of a skipped or failed call, and those a healthy source
+    /// had nothing for, count as fallbacks of the slot.
+    fn run_slot(
+        &self,
+        slot: ModelSlot,
+        terminal: bool,
+        pending: &[UserIdx],
+        n: usize,
+        deadline: Option<Deadline>,
+        stats: &mut ChunkStats,
+    ) -> SlotRun {
+        let tracer = &self.config.tracer;
+        if deadline.is_some_and(|d| d.expired(&*self.config.clock)) {
+            stats.deadline_skips += pending.len() as u64;
+            tracer.event("deadline_expired", |f| {
+                f.push("skipped", pending.len());
+            });
+            return SlotRun::Expired;
+        }
+        let fall_through =
+            |stats: &mut ChunkStats, outcome: &'static str, elapsed: Option<Duration>| {
+                stats.fallbacks[slot.index()] += pending.len() as u64;
+                tracer.event("slot_call", |f| {
+                    f.push("slot", slot.metric_label())
+                        .push("requests", pending.len())
+                        .push("outcome", outcome);
+                    if let Some(elapsed) = elapsed {
+                        f.push("elapsed_ns", elapsed.as_nanos() as u64);
+                    }
+                });
+                SlotRun::FellThrough
+            };
+        let Some(source) = self.slot_source(slot, terminal) else {
+            return fall_through(stats, "degraded", None);
+        };
+        if !self.breaker_admit(slot, stats) {
+            stats.breaker_skips[slot.index()] += 1;
+            return fall_through(stats, "breaker_open", None);
+        }
+        // The budget clock starts before fault injection so injected
+        // latency counts against the slot like real slowness would.
+        let started = self.config.slot_budget.map(|_| self.config.clock.now());
+        #[cfg(feature = "testing")]
+        let injected = self.faults.on_call(slot);
+        #[cfg(feature = "testing")]
+        {
+            if let Some(d) = injected.latency {
+                self.config.clock.sleep(d);
+            }
+            if injected.error {
+                self.breaker_failure(slot, stats);
+                return fall_through(stats, "injected_error", None);
+            }
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(feature = "testing")]
+            if injected.panic {
+                panic!("injected fault: {} slot panic", slot.label());
+            }
+            let mut candidates: Vec<Vec<Candidate>> = Vec::new();
+            source.emit_batch(pending, n, &mut candidates);
+            candidates
+        }));
+        let Ok(candidates) = outcome else {
+            // The slot panicked: isolate it, let its users fall through,
+            // and let the breaker see a failure.
+            stats.panics[slot.index()] += 1;
+            self.breaker_failure(slot, stats);
+            return fall_through(stats, "panic", None);
+        };
+        if let (Some(budget), Some(started)) = (self.config.slot_budget, started) {
+            let elapsed = self.config.clock.now().saturating_sub(started);
+            if elapsed > budget {
+                // Too slow: cut the slot off (its candidates are
+                // discarded) and move on.
+                stats.timeouts[slot.index()] += 1;
+                self.breaker_failure(slot, stats);
+                return fall_through(stats, "timeout", Some(elapsed));
+            }
+        }
+        self.breaker_success(slot, stats);
+        // A healthy slot with nothing to say for a user (e.g. content
+        // similarity on an empty history) lets that user fall through.
+        let empty = candidates.iter().filter(|c| c.is_empty()).count();
+        stats.fallbacks[slot.index()] += empty as u64;
+        tracer.event("slot_call", |f| {
+            f.push("slot", slot.metric_label())
+                .push("requests", pending.len())
+                .push("outcome", "ok")
+                .push("served", candidates.len() - empty);
+        });
+        SlotRun::Emitted(candidates)
     }
 
     /// [`ServingEngine::recommend`] for a batch of users, fanned out over

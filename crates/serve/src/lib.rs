@@ -13,7 +13,7 @@
 //!    [`ServingEngine::recommend_batch`] requests through the candidate
 //!    [`pipeline`] (provenance-stamped sources → merge/dedup → filters
 //!    → rank), with the fallback chain (BPR → Closest Items → Most Read
-//!    → Random) retained as the degraded path, a bounded LRU cache
+//!    → Random) as the pipeline's terminal stage, a bounded LRU cache
 //!    keyed by `(user, k, model_epoch)`, in-tree request metrics
 //!    (latency quantiles, QPS, cache hit ratio, per-slot serve/fallback
 //!    counts), and per-request explanations via
@@ -21,8 +21,9 @@
 //!
 //! A corrupt or missing artifact never takes serving down — the slot
 //! degrades, the chain skips it, and the metrics show the fall-throughs.
-//! Runtime failures are contained the same way: slot calls run under
-//! panic isolation with optional per-slot deadline budgets, repeated
+//! Runtime failures are contained the same way: every slot call, source
+//! or terminal, runs inside one fault envelope — panic isolation with
+//! optional per-slot deadline budgets — repeated
 //! failures open a per-slot [circuit breaker](breaker), artifact
 //! publication is atomic and lock-guarded, and `reload` can retry with
 //! deterministic backoff while the old epoch keeps serving. The

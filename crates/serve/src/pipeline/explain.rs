@@ -37,9 +37,6 @@ impl Explanation {
             Reason::MostRead { count } => {
                 format!("because it is one of the library's most-read books ({count} readings)")
             }
-            Reason::GenrePreference { genre } => {
-                format!("because you often borrow books of genre #{genre}")
-            }
             Reason::Exploration => "an exploration pick to broaden your shelf".to_owned(),
         }
     }

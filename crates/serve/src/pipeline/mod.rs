@@ -7,6 +7,7 @@
 //!
 //! ```text
 //! sources ──▶ merge/dedup ──▶ filters ──▶ rank ──▶ top-k + explanations
+//!                                           └─ empty ─▶ terminals
 //! ```
 //!
 //! * [`sources`] — [`CandidateSource`]s fan out per request, each
@@ -20,14 +21,19 @@
 //!   source's model and reduced to top-k with the same deterministic
 //!   [`rm_util::TopK`] selector the recommenders use;
 //! * [`explain`] — surviving provenance becomes per-book
-//!   [`Explanation`]s ("because you borrowed X").
+//!   [`Explanation`]s ("because you borrowed X");
+//! * terminals — users the stages above left empty try the fallback
+//!   chain's remaining slots in order, each through its exact-scan
+//!   source ([`CfNeighboursSource`], [`ContentSimilarSource`],
+//!   [`MostReadSource`], or [`FallbackSource`] for Random) answering
+//!   its own top-k, re-stamped [`SourceId::Fallback`].
 //!
-//! The engine runs this pipeline inside the existing fault envelope:
-//! every source call sits behind the per-slot circuit breaker, panic
-//! isolation, and deadline budgets, and the legacy fallback chain is
-//! retained as the degraded path for users the pipeline could not
-//! serve. With the default configuration (single CF source, no
-//! filters) the pipeline's top-k is bit-identical to the legacy chain.
+//! The engine runs every slot call, source or terminal, inside one
+//! fault envelope: the per-slot circuit breaker, panic isolation, and
+//! deadline budgets. The brownout level picks the sources, the filter
+//! flag, and the terminals from a plan built once at engine load. With
+//! the default configuration (single CF source, no filters) the
+//! pipeline's top-k is bit-identical to the pre-pipeline chain.
 
 pub mod explain;
 pub mod filters;
@@ -43,8 +49,8 @@ pub use merge::merge_into;
 pub use rank::rank_pool_into;
 pub use sources::{
     anchor_book, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres, Candidate,
-    CandidateSource, CfNeighboursSource, ContentSimilarSource, FallbackSource,
-    GenrePreferenceSource, MostReadSource, QuantCfNeighboursSource, Reason, SourceId,
+    CandidateSource, CfNeighboursSource, ContentSimilarSource, FallbackSource, MostReadSource,
+    QuantCfNeighboursSource, Reason, SourceId,
 };
 
 use crate::engine::ModelSlot;
@@ -68,7 +74,7 @@ pub struct PipelineConfig {
     pub pool_size: usize,
     /// Business-rule filters, applied in order after the merge.
     pub filters: Vec<Arc<dyn CandidateFilter>>,
-    /// Catalogue genre lookup for genre-aware filters and sources.
+    /// Catalogue genre lookup for genre-aware filters.
     pub book_genres: Option<Arc<BookGenres>>,
     /// Posting lists probed per ANN-accelerated source call. Only
     /// consulted when the loaded registry carries a valid ANN artifact;

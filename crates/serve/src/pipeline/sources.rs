@@ -1,10 +1,11 @@
 //! Candidate sources: the fan-out stage of the serving pipeline.
 //!
 //! A [`CandidateSource`] wraps one retrieval signal — collaborative
-//! filtering, content similarity, global popularity, genre preference —
-//! and emits a few hundred [`Candidate`]s per user, each carrying its
-//! provenance: which source proposed it ([`SourceId`]) and why
-//! ([`Reason`]). Provenance is what the explanation layer
+//! filtering, content similarity, global popularity — and emits a few
+//! hundred [`Candidate`]s per user, each carrying its provenance: which
+//! source proposed it ([`SourceId`]) and why ([`Reason`]). The fallback
+//! chain's terminal slots are served by the same exact-scan sources,
+//! asked for `k` candidates. Provenance is what the explanation layer
 //! ([`crate::pipeline::explain`]) surfaces as "because you borrowed X",
 //! and what the merge stage keeps when two sources propose the same
 //! book (first source wins — see [`crate::pipeline::merge`]).
@@ -35,8 +36,6 @@ pub enum SourceId {
     ContentSimilar,
     /// Global popularity (Most Read Items).
     MostRead,
-    /// The user's dominant borrowed genre.
-    GenrePreference,
     /// A plain fallback wrap of one serving slot (e.g. Random Items).
     Fallback(ModelSlot),
 }
@@ -49,22 +48,19 @@ impl SourceId {
             Self::CfNeighbours => "cf_neighbours",
             Self::ContentSimilar => "content_similar",
             Self::MostRead => "most_read",
-            Self::GenrePreference => "genre_preference",
             Self::Fallback(slot) => slot.metric_label(),
         }
     }
 
-    /// The serving slot this source is backed by, when there is one —
-    /// used to attribute `served` metrics. [`SourceId::GenrePreference`]
-    /// is model-free and maps to no slot.
+    /// The serving slot this source is backed by — used to attribute
+    /// `served` metrics.
     #[must_use]
-    pub fn slot(self) -> Option<ModelSlot> {
+    pub fn slot(self) -> ModelSlot {
         match self {
-            Self::CfNeighbours => Some(ModelSlot::Bpr),
-            Self::ContentSimilar => Some(ModelSlot::ClosestItems),
-            Self::MostRead => Some(ModelSlot::MostRead),
-            Self::GenrePreference => None,
-            Self::Fallback(slot) => Some(slot),
+            Self::CfNeighbours => ModelSlot::Bpr,
+            Self::ContentSimilar => ModelSlot::ClosestItems,
+            Self::MostRead => ModelSlot::MostRead,
+            Self::Fallback(slot) => slot,
         }
     }
 }
@@ -84,11 +80,6 @@ pub enum Reason {
     MostRead {
         /// Training-set read count.
         count: u64,
-    },
-    /// It belongs to the user's dominant borrowed genre.
-    GenrePreference {
-        /// Aggregated genre id (see `rm_dataset::genre`).
-        genre: u8,
     },
     /// An exploration pick with no model-specific story (Random Items).
     Exploration,
@@ -122,25 +113,27 @@ pub trait CandidateSource: Send + Sync {
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>);
 }
 
-/// Maps a recommender's ranked output into candidates with one fixed
-/// reason per book.
-fn emit_ranked(
+/// Maps a recommender's ranked output into candidates. `reason` runs
+/// once per user and returns that user's per-book reason, so per-user
+/// provenance (a content anchor) is computed once, not once per book.
+fn emit_ranked<R: FnMut(u32) -> Reason>(
     model: &dyn Recommender,
     id: SourceId,
     users: &[UserIdx],
     pool_size: usize,
     out: &mut Vec<Vec<Candidate>>,
-    mut reason: impl FnMut(UserIdx, u32) -> Reason,
+    mut reason: impl FnMut(UserIdx) -> R,
 ) {
     let mut ranked: Vec<Vec<u32>> = Vec::new();
     model.recommend_batch_into(users, pool_size, &mut ranked);
     out.resize_with(users.len(), Vec::new);
     for ((&u, books), slot) in users.iter().zip(&ranked).zip(out.iter_mut()) {
+        let mut reason = reason(u);
         slot.clear();
         slot.extend(books.iter().map(|&b| Candidate {
             book: b,
             source: id,
-            reason: reason(u, b),
+            reason: reason(b),
         }));
     }
 }
@@ -166,8 +159,8 @@ impl CandidateSource for CfNeighboursSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.bpr, self.id(), users, pool_size, out, |_, _| {
-            Reason::CfNeighbours
+        emit_ranked(self.bpr, self.id(), users, pool_size, out, |_| {
+            |_| Reason::CfNeighbours
         });
     }
 }
@@ -195,17 +188,10 @@ impl CandidateSource for ContentSimilarSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(
-            self.closest,
-            self.id(),
-            users,
-            pool_size,
-            out,
-            |u, _| match anchor_book(self.closest, self.train.seen(u)) {
-                Some(anchor) => Reason::SimilarToBorrowed { anchor },
-                None => Reason::Exploration,
-            },
-        );
+        emit_ranked(self.closest, self.id(), users, pool_size, out, |u| {
+            let reason = similar_reason(self.closest, self.train.seen(u));
+            move |_| reason
+        });
     }
 }
 
@@ -241,8 +227,8 @@ impl CandidateSource for QuantCfNeighboursSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(&self.rec, self.id(), users, pool_size, out, |_, _| {
-            Reason::CfNeighbours
+        emit_ranked(&self.rec, self.id(), users, pool_size, out, |_| {
+            |_| Reason::CfNeighbours
         });
     }
 }
@@ -432,10 +418,7 @@ impl CandidateSource for AnnContentSimilarSource<'_> {
                     );
                 }
             }
-            let reason = match anchor_book(self.closest, seen) {
-                Some(anchor) => Reason::SimilarToBorrowed { anchor },
-                None => Reason::Exploration,
-            };
+            let reason = similar_reason(self.closest, seen);
             slot.extend(ids.iter().map(|&b| Candidate {
                 book: b,
                 source: SourceId::ContentSimilar,
@@ -470,6 +453,14 @@ pub fn anchor_book(closest: &ClosestItems, seen: &[u32]) -> Option<u32> {
     best.map(|(b, _)| b)
 }
 
+/// The content-similar provenance for a user with history `seen`:
+/// anchored to [`anchor_book`], or exploration for an empty history.
+fn similar_reason(closest: &ClosestItems, seen: &[u32]) -> Reason {
+    anchor_book(closest, seen).map_or(Reason::Exploration, |anchor| Reason::SimilarToBorrowed {
+        anchor,
+    })
+}
+
 /// Most-read source: the globally most-borrowed books the user has not
 /// read, with their read counts as provenance.
 #[derive(Debug, Clone, Copy)]
@@ -491,8 +482,8 @@ impl CandidateSource for MostReadSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.most_read, self.id(), users, pool_size, out, |_, b| {
-            Reason::MostRead {
+        emit_ranked(self.most_read, self.id(), users, pool_size, out, |_| {
+            |b| Reason::MostRead {
                 count: self.most_read.count(BookIdx(b)),
             }
         });
@@ -500,7 +491,7 @@ impl CandidateSource for MostReadSource<'_> {
 }
 
 /// Per-book primary genre lookup, built once from a corpus and shared
-/// by the genre source and the genre-aware filters.
+/// by the genre-aware filters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BookGenres {
     primary: Vec<Option<u8>>,
@@ -550,75 +541,6 @@ impl BookGenres {
     }
 }
 
-/// Genre-preference source: unseen books of the user's dominant
-/// borrowed genre, in ascending book order. Model-free — it reads only
-/// the training matrix and the catalogue's genre profiles.
-#[derive(Debug, Clone, Copy)]
-pub struct GenrePreferenceSource<'a> {
-    genres: &'a BookGenres,
-    train: &'a Interactions,
-}
-
-impl<'a> GenrePreferenceSource<'a> {
-    /// Wraps the catalogue genre lookup and the training matrix.
-    #[must_use]
-    pub fn new(genres: &'a BookGenres, train: &'a Interactions) -> Self {
-        Self { genres, train }
-    }
-
-    /// The user's dominant genre: the most frequent primary genre among
-    /// their borrowed books, ties toward the lower genre id. `None` for
-    /// an empty history or one with no genre-labelled books.
-    #[must_use]
-    pub fn dominant_genre(&self, user: UserIdx) -> Option<u8> {
-        let mut counts = [0u32; 256];
-        for &b in self.train.seen(user) {
-            if let Some(g) = self.genres.primary(b) {
-                counts[usize::from(g)] += 1;
-            }
-        }
-        let (best, n) = counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-        (*n > 0).then_some(best as u8)
-    }
-}
-
-impl CandidateSource for GenrePreferenceSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::GenrePreference
-    }
-
-    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        out.resize_with(users.len(), Vec::new);
-        for (&u, slot) in users.iter().zip(out.iter_mut()) {
-            slot.clear();
-            let Some(genre) = self.dominant_genre(u) else {
-                continue;
-            };
-            let seen = self.train.seen(u);
-            let mut seen_iter = seen.iter().copied().peekable();
-            for b in 0..self.genres.len() as u32 {
-                if seen_iter.peek() == Some(&b) {
-                    seen_iter.next();
-                    continue;
-                }
-                if self.genres.primary(b) == Some(genre) {
-                    slot.push(Candidate {
-                        book: b,
-                        source: SourceId::GenrePreference,
-                        reason: Reason::GenrePreference { genre },
-                    });
-                    if slot.len() >= pool_size {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Wraps any [`Recommender`] as a provenance-neutral source — the
 /// terminal Random Items slot, or a test double. Candidates carry
 /// [`Reason::Exploration`]: a plain fallback has no model-specific
@@ -642,8 +564,8 @@ impl CandidateSource for FallbackSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.model, self.id(), users, pool_size, out, |_, _| {
-            Reason::Exploration
+        emit_ranked(self.model, self.id(), users, pool_size, out, |_| {
+            |_| Reason::Exploration
         });
     }
 }

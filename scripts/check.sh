@@ -45,6 +45,12 @@ fi
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench self-tests (the benchmark still builds against the serve API)"
+# perfbench is its own cargo package (empty [workspace], path deps on the
+# crates), so the workspace build never compiles it: without this step a
+# serve API change that breaks the benchmark would pass every gate.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos suite (rm-serve with fault injection compiled in)"
 cargo test -q -p rm-serve --features testing
 
