@@ -21,6 +21,7 @@
 //! - probing every list must reproduce the exact scan (`recall 1.0`),
 //!   the bit-identity contract the serve pipeline relies on.
 
+use rm_bench::{extract, hashed_unit};
 use rm_embed::{EmbeddingStore, IvfConfig, IvfIndex, IvfScratch};
 use rm_sparse::vecops::dot;
 use rm_sparse::DenseMatrix;
@@ -35,12 +36,6 @@ const K: usize = 10;
 
 /// Master seed for the synthetic catalogue and the k-means init.
 const SEED: u64 = 0xBE7C_11A5;
-
-/// Hash-derived f32 in [-0.5, 0.5): deterministic across platforms, no
-/// RNG state to thread through the generators.
-fn hashed_unit(seed: u64, label: u64) -> f32 {
-    (derive_seed(seed, label) >> 40) as f32 / (1u64 << 24) as f32 - 0.5
-}
 
 /// Clustered catalogue: `topics` hash-seeded centres in `dim` dims, each
 /// row a centre plus `noise`-scaled jitter. Mirrors what book embeddings
@@ -288,21 +283,6 @@ fn smoke_json(recalls: &Recalls, mips_recall: f64) -> String {
     let _ = writeln!(s, "    \"mips_recall_at_10\": {mips_recall:.4}");
     let _ = write!(s, "  }}");
     s
-}
-
-/// Extracts `"key": <number>` from the named JSON section. Hand-rolled on
-/// purpose: the report is machine-written with a fixed shape and the
-/// workspace carries no JSON dependency.
-fn extract(report: &str, section: &str, key: &str) -> Option<f64> {
-    let sec = report.find(&format!("\"{section}\""))?;
-    let tail = &report[sec..];
-    let at = tail.find(&format!("\"{key}\""))?;
-    let after = tail[at..].find(':')? + at + 1;
-    let rest = tail[after..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn run_gate(gate_path: &str, smoke_block: &str) -> Result<(), String> {

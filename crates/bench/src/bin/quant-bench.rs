@@ -29,6 +29,7 @@
 //! - the committed full section must meet the floors
 //!   `memory_ratio >= 3.5` and `matvec_speedup >= 1.2`.
 
+use rm_bench::{extract, hashed_unit};
 use rm_core::bpr::{Bpr, BprConfig};
 use rm_core::quant::{QuantArtifact, QuantMode, QuantQuery, QuantRecommender, SectionKind};
 use rm_core::Recommender;
@@ -46,12 +47,6 @@ const K: usize = 10;
 
 /// Master seed for synthetic matrices and the Tiny harness.
 const SEED: u64 = 0x0C0D_EC11;
-
-/// Hash-derived f32 in [-0.5, 0.5): deterministic across platforms, no
-/// RNG state to thread through the generators.
-fn hashed_unit(seed: u64, label: u64) -> f32 {
-    (derive_seed(seed, label) >> 40) as f32 / (1u64 << 24) as f32 - 0.5
-}
 
 /// Dense matrix of `scale`-amplitude hash-seeded entries.
 fn hashed_matrix(rows: usize, cols: usize, scale: f32, seed: u64) -> DenseMatrix {
@@ -261,21 +256,6 @@ fn run_full(sc: &FullScenario) -> FullReport {
         i8_matvec_ms,
         matvec_speedup: f32_matvec_ms / i8_matvec_ms,
     }
-}
-
-/// Extracts `"key": <number>` from the named JSON section. Hand-rolled on
-/// purpose: the report is machine-written with a fixed shape and the
-/// workspace carries no JSON dependency.
-fn extract(report: &str, section: &str, key: &str) -> Option<f64> {
-    let sec = report.find(&format!("\"{section}\""))?;
-    let tail = &report[sec..];
-    let at = tail.find(&format!("\"{key}\""))?;
-    let after = tail[at..].find(':')? + at + 1;
-    let rest = tail[after..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Largest acceptable |URR or NRR drift| between f32 and quantized

@@ -11,11 +11,16 @@
 //! full repro pass stays in CI-friendly time; `--out` (default
 //! `experiments/out`) receives one CSV per artefact next to the printed
 //! table.
+//!
+//! The gated `ann-bench` and `quant-bench` binaries share the
+//! hash-seeded data helper [`hashed_unit`] and the report reader
+//! [`extract`] from here.
 
 use rm_core::bpr::BprConfig;
 use rm_datagen::Preset;
 use rm_dataset::summary::SummaryFields;
 use rm_eval::harness::{Harness, TrainedSuite};
+use rm_util::rng::derive_seed;
 use std::path::{Path, PathBuf};
 
 /// Parsed command-line options.
@@ -153,6 +158,29 @@ pub fn bench_context() -> (Harness, TrainedSuite) {
     let harness = opts.harness();
     let suite = opts.suite(&harness);
     (harness, suite)
+}
+
+/// Hash-derived f32 in [-0.5, 0.5): deterministic across platforms, no
+/// RNG state to thread through the generators.
+#[must_use]
+pub fn hashed_unit(seed: u64, label: u64) -> f32 {
+    (derive_seed(seed, label) >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+}
+
+/// Extracts `"key": <number>` from the named JSON section. Hand-rolled on
+/// purpose: the report is machine-written with a fixed shape and the
+/// workspace carries no JSON dependency.
+#[must_use]
+pub fn extract(report: &str, section: &str, key: &str) -> Option<f64> {
+    let sec = report.find(&format!("\"{section}\""))?;
+    let tail = &report[sec..];
+    let at = tail.find(&format!("\"{key}\""))?;
+    let after = tail[at..].find(':')? + at + 1;
+    let rest = tail[after..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 #[cfg(test)]

@@ -38,12 +38,6 @@ impl<A: Recommender, B: Recommender> Blend<A, B> {
         }
     }
 
-    /// The two component recommenders.
-    #[must_use]
-    pub fn components(&self) -> (&A, &B) {
-        (&self.first, &self.second)
-    }
-
     /// The fitted training matrix, or `None` before [`Recommender::fit`].
     /// Request-path methods degrade through this instead of panicking:
     /// an unfitted blend on the serve path answers empty rather than

@@ -17,7 +17,7 @@ use rm_dataset::tables::{
     AnobiiItemRow, AnobiiItemsTable, BctBookRow, BctBooksTable, ItemType, Language,
 };
 use rm_util::rng::SeedTree;
-use rm_util::sample::{sample_weighted_once, AliasTable, ZipfWeights};
+use rm_util::sample::{AliasTable, ZipfWeights};
 
 /// Which catalogue(s) a world book appears in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -581,20 +581,6 @@ impl World {
         None
     }
 
-    /// Samples any popularity-weighted book of `genre`, falling back to
-    /// the overlap class when the preferred class is empty.
-    #[must_use]
-    pub fn sample_book_with_fallback<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        genre: u8,
-        preferred: Membership,
-        v: PopView,
-    ) -> Option<u32> {
-        self.sample_book(rng, genre, preferred, v)
-            .or_else(|| self.sample_book(rng, genre, Membership::Overlap, v))
-    }
-
     /// Picks uniformly one *other* book by the same author as `book`,
     /// restricted to books visible in `source_classes`; `None` when the
     /// author has no other visible book.
@@ -616,12 +602,6 @@ impl World {
         } else {
             Some(candidates[rng.random_range(0..candidates.len())])
         }
-    }
-
-    /// Samples a genre from unnormalised `shares`.
-    #[must_use]
-    pub fn sample_genre<R: Rng + ?Sized>(rng: &mut R, shares: &[f64]) -> u8 {
-        sample_weighted_once(rng, shares) as u8
     }
 }
 

@@ -169,12 +169,6 @@ impl SemanticEncoder {
         &self.config
     }
 
-    /// Whether an IDF model is fitted.
-    #[must_use]
-    pub fn has_idf(&self) -> bool {
-        self.idf.is_some()
-    }
-
     fn normalised_tokens(&self, text: &str) -> Vec<String> {
         let mut toks = tokens(text);
         if self.config.drop_stopwords {

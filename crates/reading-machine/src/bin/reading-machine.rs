@@ -821,7 +821,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             book.authors.join(", ")
         );
         for ex in explanations.iter().filter(|ex| ex.book == b) {
-            println!("      [{}] {}", ex.source.label(), ex.render(&title));
+            println!("      [{}] {}", ex.source.label(), ex.reason.render(&title));
         }
     }
     Ok(())

@@ -37,7 +37,7 @@ pub mod prelude {
     pub use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ModelSlot, ServingEngine};
     pub use rm_serve::loadgen::{ArrivalMode, LoadReport, LoadgenConfig, SloSpec};
     pub use rm_serve::overload::{DegradationLevel, OverloadConfig, ShedReason};
-    pub use rm_serve::pipeline::{BookGenres, Explanation, PipelineConfig, Reason, SourceId};
+    pub use rm_serve::pipeline::{BookGenres, Candidate, PipelineConfig, Reason, SourceId};
     pub use rm_serve::registry::{ArtifactRegistry, Manifest};
     pub use rm_util::RecError;
 }

@@ -48,12 +48,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Maximum number of entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries.
     #[must_use]
     pub fn len(&self) -> usize {

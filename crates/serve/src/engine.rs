@@ -57,8 +57,7 @@ use crate::overload::{
 use crate::pipeline::{
     merge_into, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres,
     Candidate, CandidateFilter, CandidateSource, CfNeighboursSource, ContentSimilarSource,
-    Explanation, FallbackSource, FilterCtx, MostReadSource, PipelineConfig,
-    QuantCfNeighboursSource, SourceId,
+    FallbackSource, FilterCtx, MostReadSource, PipelineConfig, QuantCfNeighboursSource, SourceId,
 };
 use crate::registry::{ArtifactRegistry, LoadedArtifacts};
 use rm_core::bpr::{Bpr, BprConfig};
@@ -956,17 +955,6 @@ impl ServingEngine {
         &self.degraded
     }
 
-    /// True when the slot's model loaded and is servable.
-    #[must_use]
-    pub fn slot_loaded(&self, slot: ModelSlot) -> bool {
-        match slot {
-            ModelSlot::Bpr => self.bpr.is_some(),
-            ModelSlot::ClosestItems => self.closest.is_some(),
-            ModelSlot::MostRead => self.most_read.is_some(),
-            ModelSlot::Random => true,
-        }
-    }
-
     /// The current artifact epoch (from the registry manifest).
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -1162,7 +1150,9 @@ impl ServingEngine {
     /// whenever overload control is disabled).
     #[must_use]
     pub fn degradation_level(&self) -> DegradationLevel {
-        self.current_level()
+        self.governor.as_ref().map_or(DegradationLevel::Full, |g| {
+            g.lock().unwrap_or_else(PoisonError::into_inner).level()
+        })
     }
 
     /// Admitted-but-unserved requests in the overload queue (`0` when
@@ -1171,12 +1161,6 @@ impl ServingEngine {
     pub fn queue_len(&self) -> usize {
         self.governor.as_ref().map_or(0, |g| {
             g.lock().unwrap_or_else(PoisonError::into_inner).queue_len()
-        })
-    }
-
-    fn current_level(&self) -> DegradationLevel {
-        self.governor.as_ref().map_or(DegradationLevel::Full, |g| {
-            g.lock().unwrap_or_else(PoisonError::into_inner).level()
         })
     }
 
@@ -1242,7 +1226,7 @@ impl ServingEngine {
                 user,
                 k,
                 result: Err(self.note_shed(reason, user)),
-                level: self.current_level(),
+                level: self.degradation_level(),
                 queue_delay: popped.delay,
                 sojourn: popped.delay,
             });
@@ -1275,30 +1259,6 @@ impl ServingEngine {
         })
     }
 
-    /// [`ServingEngine::recommend`] through admission control: offers
-    /// the request, then drains the queue (FIFO, so the final outcome is
-    /// this request's). Without overload control configured it degrades
-    /// to a plain [`ServingEngine::recommend`].
-    ///
-    /// # Errors
-    ///
-    /// [`RecError::Shed`] when admission control rejects or sheds the
-    /// request.
-    pub fn recommend_governed(&self, user: UserIdx, k: usize) -> Result<Vec<u32>, RecError> {
-        if self.governor.is_none() {
-            // Same full-pipeline path recommend() takes.
-            return Ok(self.serve_chunk(&[user], k).pop().unwrap_or_default());
-        }
-        self.offer(user, k)?;
-        let mut last = None;
-        while let Some(outcome) = self.serve_queued() {
-            last = Some(outcome);
-        }
-        // The queue was non-empty after offer(), so `last` is Some; an
-        // empty answer degrades the impossible case instead of panicking.
-        last.map_or_else(|| Ok(Vec::new()), |outcome| outcome.result)
-    }
-
     /// Top-`k` books for `user`, served by the candidate pipeline with
     /// the fallback chain as its terminal stage. An unknown user (outside
     /// the training matrix) gets an empty list. The call records
@@ -1310,18 +1270,20 @@ impl ServingEngine {
         self.serve_chunk(&[user], k).pop().unwrap_or_default()
     }
 
-    /// [`ServingEngine::recommend`] plus one provenance-backed
-    /// [`Explanation`] per recommended book ("because you borrowed X"),
-    /// aligned index-for-index with the returned list. Explained
-    /// requests bypass the answer cache in both directions — cached
-    /// lists carry no provenance — so they always exercise the
+    /// [`ServingEngine::recommend`] plus the winning [`Candidate`] per
+    /// recommended book — its provenance, rendered by
+    /// [`Reason::render`](crate::pipeline::Reason::render) as "because
+    /// you borrowed X" — aligned index-for-index with the returned list.
+    /// Explained requests bypass the answer cache in both directions —
+    /// cached lists carry no provenance — so they always exercise the
     /// pipeline; fault isolation, metrics, and the degraded fallback
     /// behave identically to [`ServingEngine::recommend`].
     #[must_use]
-    pub fn recommend_explained(&self, user: UserIdx, k: usize) -> (Vec<u32>, Vec<Explanation>) {
-        let mut explanations: Vec<Vec<Explanation>> = Vec::new();
+    pub fn recommend_explained(&self, user: UserIdx, k: usize) -> (Vec<u32>, Vec<Candidate>) {
+        let mut explanations: Vec<Vec<Candidate>> = Vec::new();
+        let level = self.degradation_level();
         let books = self
-            .serve_chunk_with(&[user], k, Some(&mut explanations), self.current_level())
+            .serve_chunk_with(&[user], k, Some(&mut explanations), level)
             .pop()
             .unwrap_or_default();
         (books, explanations.pop().unwrap_or_default())
@@ -1334,7 +1296,7 @@ impl ServingEngine {
     /// taken once. Amortising the per-request overhead this way is what
     /// makes batched serving outrun single calls even on one core.
     fn serve_chunk(&self, users: &[UserIdx], k: usize) -> Vec<Vec<u32>> {
-        self.serve_chunk_with(users, k, None, self.current_level())
+        self.serve_chunk_with(users, k, None, self.degradation_level())
     }
 
     /// [`ServingEngine::serve_chunk`] with optional per-user explanation
@@ -1367,7 +1329,7 @@ impl ServingEngine {
         &self,
         users: &[UserIdx],
         k: usize,
-        mut explain: Option<&mut Vec<Vec<Explanation>>>,
+        mut explain: Option<&mut Vec<Vec<Candidate>>>,
         level: DegradationLevel,
     ) -> Vec<Vec<u32>> {
         let tracer = &self.config.tracer;
@@ -1509,13 +1471,7 @@ impl ServingEngine {
                 if let Some(ex) = explain.as_deref_mut() {
                     ex[i] = ranked
                         .iter()
-                        .filter_map(|&b| {
-                            pool.iter().find(|c| c.book == b).map(|c| Explanation {
-                                book: b,
-                                source: c.source,
-                                reason: c.reason,
-                            })
-                        })
+                        .filter_map(|&b| pool.iter().find(|c| c.book == b).copied())
                         .collect();
                 }
                 out[i] = Some(std::mem::take(&mut ranked));
@@ -1547,10 +1503,9 @@ impl ServingEngine {
                 if let Some(ex) = explain.as_deref_mut() {
                     ex[i] = answer
                         .iter()
-                        .map(|c| Explanation {
-                            book: c.book,
+                        .map(|c| Candidate {
                             source: SourceId::Fallback(slot),
-                            reason: c.reason,
+                            ..*c
                         })
                         .collect();
                 }

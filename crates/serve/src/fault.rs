@@ -73,8 +73,8 @@ pub struct SlotFaults {
     /// Fixed stall injected before every call (simulated via the engine
     /// clock's `sleep`).
     pub latency: Option<Duration>,
-    /// Corrupt this slot's artifact during
-    /// [`ArtifactRegistry::save_with_faults`](crate::registry::ArtifactRegistry::save_with_faults).
+    /// Corrupt this slot's artifact in
+    /// [`ArtifactRegistry::corrupt_on_save`](crate::registry::ArtifactRegistry::corrupt_on_save).
     pub corrupt_on_save: bool,
 }
 

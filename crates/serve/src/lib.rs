@@ -58,7 +58,5 @@ pub use fault::{CallWindow, FaultPlan};
 pub use loadgen::{ArrivalMode, LoadReport, LoadgenConfig, SloSpec};
 pub use metrics::{ChunkStats, MetricsSnapshot, ServeMetrics};
 pub use overload::{DegradationLevel, LevelTransition, OverloadConfig, ShedReason};
-pub use pipeline::{
-    CandidateFilter, CandidateSource, Explanation, PipelineConfig, Reason, SourceId,
-};
+pub use pipeline::{Candidate, CandidateFilter, CandidateSource, PipelineConfig, Reason, SourceId};
 pub use registry::{ArtifactRegistry, LoadedArtifacts, Manifest, RegistryLock, SlotError};

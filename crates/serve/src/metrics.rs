@@ -18,30 +18,12 @@
 use crate::breaker::BreakerState;
 use crate::engine::ModelSlot;
 use crate::overload::{DegradationLevel, ShedReason};
-use rm_util::clock::{Clock, MonotonicClock};
+use rm_util::clock::Clock;
 use rm_util::report::{fmt_f64, Table};
 use rm_util::stats::Histogram;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-#[derive(Debug, Default, Clone)]
-struct Counters {
-    requests: u64,
-    cache_hits: u64,
-    latency: Histogram,
-    served: [u64; ModelSlot::COUNT],
-    fallbacks: [u64; ModelSlot::COUNT],
-    timeouts: [u64; ModelSlot::COUNT],
-    panics: [u64; ModelSlot::COUNT],
-    breaker_skips: [u64; ModelSlot::COUNT],
-    breaker_opened: [u64; ModelSlot::COUNT],
-    breaker_half_open: [u64; ModelSlot::COUNT],
-    breaker_closed: [u64; ModelSlot::COUNT],
-    deadline_skips: u64,
-    worker_panics: u64,
-    shed: [u64; ShedReason::COUNT],
-}
 
 /// Everything one served chunk contributes to the counters, accumulated
 /// lock-free during the chain walk and folded in under a single lock
@@ -86,20 +68,16 @@ impl ChunkStats {
     }
 }
 
-/// Thread-safe metrics accumulator owned by the engine.
+/// Thread-safe metrics accumulator owned by the engine: the counters
+/// live in a [`MetricsSnapshot`] behind one mutex, and
+/// [`ServeMetrics::snapshot`] clones it out.
 #[derive(Debug)]
 pub struct ServeMetrics {
-    inner: Mutex<Counters>,
+    inner: Mutex<MetricsSnapshot>,
     clock: Arc<dyn Clock>,
-    /// Clock reading when the metrics were created or last reset (the
-    /// QPS denominator's origin).
+    /// Clock reading when the metrics were created (the QPS
+    /// denominator's origin).
     started: Duration,
-}
-
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        Self::new(Arc::new(MonotonicClock::new()))
-    }
 }
 
 impl ServeMetrics {
@@ -110,7 +88,7 @@ impl ServeMetrics {
     pub fn new(clock: Arc<dyn Clock>) -> Self {
         let started = clock.now();
         Self {
-            inner: Mutex::new(Counters::default()),
+            inner: Mutex::new(MetricsSnapshot::default()),
             clock,
             started,
         }
@@ -119,37 +97,8 @@ impl ServeMetrics {
     /// Counters are plain accumulators, so a panic that poisoned the
     /// mutex left them merely mid-update — recover the data rather than
     /// letting one isolated panic take metrics (and serving) down.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Counters> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsSnapshot> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records a request answered from the cache.
-    pub fn record_hit(&self, latency: Duration) {
-        let mut c = self.lock();
-        c.requests += 1;
-        c.cache_hits += 1;
-        c.latency.record(latency.as_nanos() as u64);
-    }
-
-    /// Records a request answered by a model. `served` is the slot that
-    /// produced the list (`None` when the whole chain came up empty);
-    /// `fell_through` are the slots tried before it, each of which counts
-    /// as one fallback.
-    pub fn record_serve(
-        &self,
-        latency: Duration,
-        served: Option<ModelSlot>,
-        fell_through: &[ModelSlot],
-    ) {
-        let mut c = self.lock();
-        c.requests += 1;
-        c.latency.record(latency.as_nanos() as u64);
-        if let Some(slot) = served {
-            c.served[slot.index()] += 1;
-        }
-        for &slot in fell_through {
-            c.fallbacks[slot.index()] += 1;
-        }
     }
 
     /// Folds a whole served chunk into the counters in one lock
@@ -196,39 +145,16 @@ impl ServeMetrics {
     /// A point-in-time copy of every counter.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let c = self.lock().clone();
+        let elapsed = self.clock.now().saturating_sub(self.started);
         MetricsSnapshot {
-            requests: c.requests,
-            cache_hits: c.cache_hits,
-            latency: c.latency,
-            served: c.served,
-            fallbacks: c.fallbacks,
-            timeouts: c.timeouts,
-            panics: c.panics,
-            breaker_skips: c.breaker_skips,
-            breaker_opened: c.breaker_opened,
-            breaker_half_open: c.breaker_half_open,
-            breaker_closed: c.breaker_closed,
-            deadline_skips: c.deadline_skips,
-            worker_panics: c.worker_panics,
-            shed: c.shed,
-            degradation_level: 0,
-            level_entries: [0; DegradationLevel::COUNT],
-            level_residency_ns: [0; DegradationLevel::COUNT],
-            cache_bytes_estimate: 0,
-            elapsed: self.clock.now().saturating_sub(self.started),
+            elapsed,
+            ..self.lock().clone()
         }
-    }
-
-    /// Zeroes every counter and restarts the QPS clock.
-    pub fn reset(&mut self) {
-        *self.lock() = Counters::default();
-        self.started = self.clock.now();
     }
 }
 
 /// An immutable copy of the serving counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Total requests (cache hits included).
     pub requests: u64,
@@ -273,7 +199,7 @@ pub struct MetricsSnapshot {
     /// from its live cache; bare [`ServeMetrics::snapshot`] calls
     /// report `0`.
     pub cache_bytes_estimate: u64,
-    /// Clock time since the metrics were created or reset.
+    /// Clock time since the metrics were created.
     pub elapsed: Duration,
 }
 
@@ -633,16 +559,41 @@ mod tests {
     use super::*;
     use rm_util::clock::FakeClock;
 
+    /// Metrics on a fake clock that stands still.
+    fn metrics() -> ServeMetrics {
+        ServeMetrics::new(Arc::new(FakeClock::new()))
+    }
+
+    /// Records one request answered from the cache in `latency`.
+    fn hit(m: &ServeMetrics, latency: Duration) {
+        let mut stats = ChunkStats::new(1, 1);
+        stats.elapsed = latency;
+        m.record_chunk(&stats);
+    }
+
+    /// Records one request served by `slot` in `latency`, after falling
+    /// through each of `fell_through`.
+    fn serve(m: &ServeMetrics, latency: Duration, slot: ModelSlot, fell_through: &[ModelSlot]) {
+        let mut stats = ChunkStats::new(1, 0);
+        stats.elapsed = latency;
+        stats.served[slot.index()] = 1;
+        for s in fell_through {
+            stats.fallbacks[s.index()] += 1;
+        }
+        m.record_chunk(&stats);
+    }
+
     #[test]
     fn counters_accumulate() {
-        let m = ServeMetrics::default();
-        m.record_serve(Duration::from_micros(100), Some(ModelSlot::Bpr), &[]);
-        m.record_serve(
+        let m = metrics();
+        serve(&m, Duration::from_micros(100), ModelSlot::Bpr, &[]);
+        serve(
+            &m,
             Duration::from_micros(200),
-            Some(ModelSlot::MostRead),
+            ModelSlot::MostRead,
             &[ModelSlot::Bpr, ModelSlot::ClosestItems],
         );
-        m.record_hit(Duration::from_micros(1));
+        hit(&m, Duration::from_micros(1));
         let s = m.snapshot();
         assert_eq!(s.requests, 3);
         assert_eq!(s.cache_hits, 1);
@@ -656,7 +607,7 @@ mod tests {
 
     #[test]
     fn chunk_stats_fold_in_fault_counters() {
-        let m = ServeMetrics::default();
+        let m = metrics();
         let mut stats = ChunkStats::new(8, 2);
         stats.elapsed = Duration::from_micros(800);
         stats.served[ModelSlot::ClosestItems.index()] = 6;
@@ -692,7 +643,7 @@ mod tests {
         // Regression: `elapsed / n` must not divide by a zero request
         // count — and a zero-request chunk can still carry breaker
         // transitions that must not be silently dropped.
-        let m = ServeMetrics::default();
+        let m = metrics();
         let mut stats = ChunkStats::new(0, 0);
         stats.elapsed = Duration::from_micros(50);
         stats.breaker_opened[ModelSlot::Bpr.index()] = 1;
@@ -710,7 +661,7 @@ mod tests {
         let clock = Arc::new(FakeClock::new());
         let m = ServeMetrics::new(Arc::clone(&clock) as Arc<dyn Clock>);
         for _ in 0..30 {
-            m.record_hit(Duration::from_micros(2));
+            hit(&m, Duration::from_micros(2));
         }
         clock.advance(Duration::from_secs(3));
         let s = m.snapshot();
@@ -719,25 +670,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_restarts_the_qps_clock() {
-        let clock = Arc::new(FakeClock::new());
-        let mut m = ServeMetrics::new(Arc::clone(&clock) as Arc<dyn Clock>);
-        m.record_hit(Duration::from_micros(5));
-        clock.advance(Duration::from_secs(10));
-        m.reset();
-        clock.advance(Duration::from_secs(2));
-        for _ in 0..4 {
-            m.record_hit(Duration::from_micros(5));
-        }
-        let s = m.snapshot();
-        assert_eq!(s.requests, 4);
-        assert_eq!(s.elapsed, Duration::from_secs(2));
-        assert!((s.qps() - 2.0).abs() < 1e-9, "qps = {}", s.qps());
-    }
-
-    #[test]
     fn empty_snapshot_is_safe() {
-        let s = ServeMetrics::default().snapshot();
+        let s = metrics().snapshot();
         assert_eq!(s.requests, 0);
         assert_eq!(s.cache_hit_ratio(), 0.0);
         assert_eq!(s.availability(), 1.0);
@@ -748,8 +682,8 @@ mod tests {
 
     #[test]
     fn render_mentions_every_headline_number() {
-        let m = ServeMetrics::default();
-        m.record_serve(Duration::from_micros(50), Some(ModelSlot::Random), &[]);
+        let m = metrics();
+        serve(&m, Duration::from_micros(50), ModelSlot::Random, &[]);
         let text = m.snapshot().render();
         for needle in [
             "p50",
@@ -782,13 +716,14 @@ mod tests {
     fn prometheus_roundtrips_the_snapshot_counters() {
         let clock = Arc::new(FakeClock::new());
         let m = ServeMetrics::new(Arc::clone(&clock) as Arc<dyn Clock>);
-        m.record_serve(Duration::from_micros(100), Some(ModelSlot::Bpr), &[]);
-        m.record_serve(
+        serve(&m, Duration::from_micros(100), ModelSlot::Bpr, &[]);
+        serve(
+            &m,
             Duration::from_micros(300),
-            Some(ModelSlot::MostRead),
+            ModelSlot::MostRead,
             &[ModelSlot::Bpr],
         );
-        m.record_hit(Duration::from_micros(1));
+        hit(&m, Duration::from_micros(1));
         clock.advance(Duration::from_secs(1));
         let s = m.snapshot();
         let text = s.render_prometheus(Some([
@@ -862,7 +797,7 @@ mod tests {
 
     #[test]
     fn prometheus_without_breakers_omits_the_state_gauge() {
-        let s = ServeMetrics::default().snapshot();
+        let s = metrics().snapshot();
         let text = s.render_prometheus(None);
         assert!(!text.contains("rm_serve_breaker_state"));
         assert_eq!(
@@ -876,12 +811,12 @@ mod tests {
 
     #[test]
     fn shed_counters_round_trip_through_prometheus() {
-        let m = ServeMetrics::default();
+        let m = metrics();
         m.record_shed(ShedReason::QueueFull);
         m.record_shed(ShedReason::QueueFull);
         m.record_shed(ShedReason::DeadlineHopeless);
         m.record_shed(ShedReason::CodelOverload);
-        m.record_hit(Duration::from_micros(1));
+        hit(&m, Duration::from_micros(1));
         let mut s = m.snapshot();
         assert_eq!(s.shed_total(), 4);
         // 4 shed out of 5 arrivals; availability ignores shed entirely.
@@ -926,22 +861,14 @@ mod tests {
 
     #[test]
     fn histogram_overflow_is_exposed() {
-        let m = ServeMetrics::default();
+        let m = metrics();
         // A sample at the histogram's saturation point (>= 2^62 ns) must
         // be counted explicitly, not silently folded into the top bucket.
-        m.record_hit(Duration::from_nanos(1 << 62));
-        m.record_hit(Duration::from_micros(3));
+        hit(&m, Duration::from_nanos(1 << 62));
+        hit(&m, Duration::from_micros(3));
         let s = m.snapshot();
         assert_eq!(s.latency.overflow(), 1);
         let text = s.render_prometheus(None);
         assert_eq!(prom_value(&text, "rm_serve_latency_overflow_total"), 1.0);
-    }
-
-    #[test]
-    fn reset_zeroes_and_restarts() {
-        let mut m = ServeMetrics::default();
-        m.record_hit(Duration::from_micros(5));
-        m.reset();
-        assert_eq!(m.snapshot().requests, 0);
     }
 }

@@ -11,12 +11,12 @@
 //!   for a sustained interval ([`ShedReason::CodelOverload`]) — head
 //!   drops push back on the arrival rate instead of serving requests
 //!   whose callers have long given up.
-//! * [`PressureController`] — an EWMA of queueing delay plus the recent
-//!   p95 of a rolling quarter-octave histogram, driving the brownout
-//!   [`DegradationLevel`] ladder: pressure steps the pipeline down one
-//!   level at a time (cheaper answers, same availability), and recovery
-//!   steps back up only hysteretically — pressure must stay below a
-//!   *lower* threshold for a hold period, so the ladder cannot flap.
+//! * [`PressureController`] — an EWMA of queueing delay driving the
+//!   brownout [`DegradationLevel`] ladder: pressure steps the pipeline
+//!   down one level at a time (cheaper answers, same availability), and
+//!   recovery steps back up only hysteretically — pressure must stay
+//!   below a *lower* threshold for a hold period, so the ladder cannot
+//!   flap.
 //! * [`OverloadGovernor`] — composes the two and adds deadline-aware
 //!   shedding: a request whose remaining [`Deadline`] budget is already
 //!   below the observed per-request service cost (an EWMA the engine
@@ -28,7 +28,6 @@
 //! ladder transitions — the determinism tests assert exactly that.
 
 use rm_dataset::ids::UserIdx;
-use rm_util::stats::Histogram;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -179,12 +178,6 @@ pub struct OverloadConfig {
     pub step_up: Duration,
     /// Minimum residency at a level before stepping back up.
     pub recover_hold: Duration,
-    /// Optional second pressure signal: recent-window p95 sojourn time
-    /// above this also steps the ladder down.
-    pub p95_budget: Option<Duration>,
-    /// Samples per rolling p95 window (the histogram resets each window
-    /// so the p95 tracks *recent* pressure, not the whole run).
-    pub p95_window: u64,
     /// Optional simulated per-level service cost, slept through the
     /// engine clock on every queued serve. Loadgen smoke runs set this
     /// so a `FakeClock` drives fully deterministic overload dynamics;
@@ -202,8 +195,6 @@ impl Default for OverloadConfig {
             step_down: Duration::from_millis(10),
             step_up: Duration::from_millis(2),
             recover_hold: Duration::from_millis(500),
-            p95_budget: None,
-            p95_window: 256,
             service_cost: None,
         }
     }
@@ -300,19 +291,16 @@ impl AdmissionQueue {
     }
 }
 
-/// The brownout ladder controller: EWMA + recent-p95 pressure in,
+/// The brownout ladder controller: EWMA queueing-delay pressure in,
 /// hysteretic level transitions out.
 #[derive(Debug)]
 pub struct PressureController {
     level: DegradationLevel,
-    ewma_delay_ns: f64,
+    delay_ewma_ns: f64,
     alpha: f64,
     step_down: Duration,
     step_up: Duration,
     recover_hold: Duration,
-    p95_budget: Option<Duration>,
-    p95_window: u64,
-    recent: Histogram,
     /// Clock reading of the last level change (hold-period anchor).
     last_change: Duration,
     /// Clock reading of the last residency accrual.
@@ -329,14 +317,11 @@ impl PressureController {
     pub fn new(cfg: &OverloadConfig, now: Duration) -> Self {
         Self {
             level: DegradationLevel::Full,
-            ewma_delay_ns: 0.0,
+            delay_ewma_ns: 0.0,
             alpha: cfg.ewma_alpha,
             step_down: cfg.step_down,
             step_up: cfg.step_up,
             recover_hold: cfg.recover_hold,
-            p95_budget: cfg.p95_budget,
-            p95_window: cfg.p95_window.max(1),
-            recent: Histogram::new(),
             last_change: now,
             last_seen: now,
             entries: [0; DegradationLevel::COUNT],
@@ -348,12 +333,6 @@ impl PressureController {
     #[must_use]
     pub fn level(&self) -> DegradationLevel {
         self.level
-    }
-
-    /// Smoothed queueing delay.
-    #[must_use]
-    pub fn ewma_delay(&self) -> Duration {
-        Duration::from_nanos(self.ewma_delay_ns as u64)
     }
 
     /// Transitions into each level so far.
@@ -383,23 +362,12 @@ impl PressureController {
     pub fn observe(&mut self, delay: Duration, now: Duration) -> Option<LevelTransition> {
         self.accrue(now);
         let delay_ns = delay.as_nanos() as f64;
-        self.ewma_delay_ns = self.alpha * delay_ns + (1.0 - self.alpha) * self.ewma_delay_ns;
-        if self.recent.count() >= self.p95_window {
-            self.recent = Histogram::new();
-        }
-        self.recent.record(delay.as_nanos() as u64);
-
-        let p95_over = self.p95_budget.is_some_and(|budget| {
-            // A handful of samples is enough to call a p95 "recent";
-            // fewer and the window is still warming up.
-            self.recent.count() >= 8 && self.recent.quantile(0.95) > budget.as_nanos() as u64
-        });
-        let ewma = Duration::from_nanos(self.ewma_delay_ns as u64);
-        if (ewma > self.step_down || p95_over) && self.level != DegradationLevel::MostReadOnly {
+        self.delay_ewma_ns = self.alpha * delay_ns + (1.0 - self.alpha) * self.delay_ewma_ns;
+        let ewma = Duration::from_nanos(self.delay_ewma_ns as u64);
+        if ewma > self.step_down && self.level != DegradationLevel::MostReadOnly {
             return Some(self.transition(self.level.stepped_down(), now));
         }
         if ewma < self.step_up
-            && !p95_over
             && self.level != DegradationLevel::Full
             && now.saturating_sub(self.last_change) >= self.recover_hold
         {
@@ -462,12 +430,6 @@ impl OverloadGovernor {
         }
     }
 
-    /// The governor's configuration.
-    #[must_use]
-    pub fn config(&self) -> &OverloadConfig {
-        &self.config
-    }
-
     /// Queued (admitted, unserved) requests.
     #[must_use]
     pub fn queue_len(&self) -> usize {
@@ -490,12 +452,6 @@ impl OverloadGovernor {
     #[must_use]
     pub fn level_residency_ns(&self, now: Duration) -> [u64; DegradationLevel::COUNT] {
         self.controller.residency_ns(now)
-    }
-
-    /// The current per-request service-cost estimate.
-    #[must_use]
-    pub fn cost_estimate(&self) -> Duration {
-        Duration::from_nanos(self.cost_ewma_ns as u64)
     }
 
     /// Simulated service cost for `level`, when configured.
@@ -690,26 +646,6 @@ mod tests {
             ms(6).as_nanos() as u64
         );
         assert_eq!(r.iter().sum::<u64>(), ms(10).as_nanos() as u64);
-    }
-
-    #[test]
-    fn p95_budget_is_a_second_pressure_signal() {
-        let cfg = OverloadConfig {
-            ewma_alpha: 0.01, // EWMA far too sluggish to trip on its own
-            step_down: ms(1000),
-            p95_budget: Some(ms(8)),
-            p95_window: 64,
-            ..OverloadConfig::default()
-        };
-        let mut c = PressureController::new(&cfg, ms(0));
-        let mut stepped = false;
-        for i in 0..16u64 {
-            if c.observe(ms(20), ms(i + 1)).is_some() {
-                stepped = true;
-                break;
-            }
-        }
-        assert!(stepped, "recent p95 over budget must step the ladder down");
     }
 
     #[test]

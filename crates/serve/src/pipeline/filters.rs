@@ -5,7 +5,7 @@
 //! filters were configured. Filters are pure functions of the
 //! [`FilterCtx`] and the pool — no I/O, no clock — so a fixed
 //! configuration filters identically on every run (DESIGN.md §15).
-//! A filter that lacks its inputs (e.g. a genre filter with no
+//! A filter that lacks its inputs (e.g. the diversity cap with no
 //! [`BookGenres`] configured) must degrade to a no-op rather than
 //! guess.
 
@@ -48,42 +48,6 @@ impl CandidateFilter for AlreadyBorrowedFilter {
 
     fn retain(&self, ctx: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
         pool.retain(|c| ctx.seen.binary_search(&c.book).is_err());
-    }
-}
-
-/// Keeps only books whose primary genre is on an allowlist — the
-/// "language/type" style catalogue restriction (e.g. a children's-room
-/// kiosk that only surfaces a few genres). No-op when the engine has no
-/// [`BookGenres`] configured.
-#[derive(Debug, Clone)]
-pub struct GenreFilter {
-    allowed: Vec<u8>,
-}
-
-impl GenreFilter {
-    /// Restricts candidates to the given aggregated genre ids.
-    #[must_use]
-    pub fn new(mut allowed: Vec<u8>) -> Self {
-        allowed.sort_unstable();
-        allowed.dedup();
-        Self { allowed }
-    }
-}
-
-impl CandidateFilter for GenreFilter {
-    fn name(&self) -> &'static str {
-        "genre"
-    }
-
-    fn retain(&self, ctx: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
-        let Some(genres) = ctx.genres else {
-            return;
-        };
-        pool.retain(|c| {
-            genres
-                .primary(c.book)
-                .is_some_and(|g| self.allowed.binary_search(&g).is_ok())
-        });
     }
 }
 
@@ -157,22 +121,6 @@ mod tests {
         AlreadyBorrowedFilter.retain(&ctx(&[0, 2], None), &mut pool);
         let books: Vec<u32> = pool.iter().map(|c| c.book).collect();
         assert_eq!(books, vec![1, 3]);
-    }
-
-    #[test]
-    fn genre_filter_keeps_allowed_genres_only() {
-        let g = genres();
-        let mut pool = vec![cand(0), cand(3), cand(4)];
-        GenreFilter::new(vec![1]).retain(&ctx(&[], Some(&g)), &mut pool);
-        let books: Vec<u32> = pool.iter().map(|c| c.book).collect();
-        assert_eq!(books, vec![3], "unlabelled books never pass an allowlist");
-    }
-
-    #[test]
-    fn genre_filter_without_lookup_is_a_noop() {
-        let mut pool = vec![cand(0), cand(3)];
-        GenreFilter::new(vec![1]).retain(&ctx(&[], None), &mut pool);
-        assert_eq!(pool.len(), 2);
     }
 
     #[test]

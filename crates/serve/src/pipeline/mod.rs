@@ -20,8 +20,8 @@
 //! * [`rank`] — the pooled survivors are re-scored by the primary
 //!   source's model and reduced to top-k with the same deterministic
 //!   [`rm_util::TopK`] selector the recommenders use;
-//! * [`explain`] — surviving provenance becomes per-book
-//!   [`Explanation`]s ("because you borrowed X");
+//! * [`explain`] — the winning candidates' [`Reason`]s render as
+//!   reader-facing sentences ("because you borrowed X");
 //! * terminals — users the stages above left empty try the fallback
 //!   chain's remaining slots in order, each through its exact-scan
 //!   source ([`CfNeighboursSource`], [`ContentSimilarSource`],
@@ -41,10 +41,7 @@ pub mod merge;
 pub mod rank;
 pub mod sources;
 
-pub use explain::Explanation;
-pub use filters::{
-    AlreadyBorrowedFilter, CandidateFilter, DiversityCapFilter, FilterCtx, GenreFilter,
-};
+pub use filters::{AlreadyBorrowedFilter, CandidateFilter, DiversityCapFilter, FilterCtx};
 pub use merge::merge_into;
 pub use rank::rank_pool_into;
 pub use sources::{

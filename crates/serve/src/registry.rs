@@ -385,25 +385,15 @@ impl ArtifactRegistry {
         Ok(())
     }
 
-    /// [`ArtifactRegistry::save`], then corrupts the slots a
+    /// Corrupts the saved artifacts of the slots a
     /// [`FaultPlan`](crate::fault::FaultPlan) marks `corrupt_on_save` —
     /// each such artifact is truncated to half its length, simulating a
     /// publisher that died mid-write *without* the atomic-rename
-    /// protocol. Chaos tests use this to prove a reload degrades exactly
-    /// the corrupted slots.
+    /// protocol. Chaos tests run it after [`ArtifactRegistry::save`] to
+    /// prove a reload degrades exactly the corrupted slots.
     #[cfg(feature = "testing")]
-    pub fn save_with_faults(
-        &self,
-        manifest: &Manifest,
-        bpr: &BprModel,
-        most_read: &MostReadItems,
-        embeddings: &EmbeddingStore,
-        ann: Option<&AnnArtifact>,
-        quant: Option<&QuantArtifact>,
-        plan: &crate::fault::FaultPlan,
-    ) -> io::Result<()> {
+    pub fn corrupt_on_save(&self, plan: &crate::fault::FaultPlan) -> io::Result<()> {
         use crate::engine::ModelSlot;
-        self.save(manifest, bpr, most_read, embeddings, ann, quant)?;
         let files = [
             (ModelSlot::Bpr, BPR_FILE),
             (ModelSlot::MostRead, MOST_READ_FILE),

@@ -169,11 +169,6 @@ fn offer_without_governor_is_a_config_error() {
         other => panic!("expected Config error, got {other:?}"),
     }
     assert!(engine.serve_queued().is_none());
-    // recommend_governed degrades to a plain recommend.
-    let books = engine
-        .recommend_governed(UserIdx(0), 5)
-        .expect("plain path");
-    assert_eq!(books, engine.recommend(UserIdx(0), 5));
     let _ = std::fs::remove_dir_all(fx.registry.dir());
 }
 

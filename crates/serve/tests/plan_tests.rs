@@ -20,7 +20,7 @@ use rm_eval::harness::Harness;
 use rm_serve::engine::ModelSlot::{self, Bpr as B, ClosestItems as C, MostRead as M, Random as R};
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ServingEngine};
 use rm_serve::overload::{DegradationLevel, OverloadConfig};
-use rm_serve::pipeline::{anchor_book, BookGenres, Explanation, GenreFilter, Reason, SourceId};
+use rm_serve::pipeline::{anchor_book, Candidate, CandidateFilter, FilterCtx, Reason, SourceId};
 use rm_serve::registry::{ArtifactRegistry, Manifest, BPR_FILE, EMBEDDINGS_FILE, MOST_READ_FILE};
 use rm_util::clock::{Clock, FakeClock};
 use rm_util::trace::{Tracer, Value};
@@ -31,7 +31,6 @@ use std::time::Duration;
 struct Fixture {
     dir: PathBuf,
     train: Interactions,
-    genres: Arc<BookGenres>,
     bpr: Bpr,
     closest: ClosestItems,
     most_read: MostReadItems,
@@ -79,11 +78,9 @@ fn fixture(tag: &str) -> Fixture {
     for file in [BPR_FILE, MOST_READ_FILE, EMBEDDINGS_FILE] {
         std::fs::remove_file(random_only.path_of(file)).expect("artifact exists");
     }
-    let genres = Arc::new(BookGenres::from_corpus(&h.corpus));
     Fixture {
         dir,
         train,
-        genres,
         bpr,
         closest,
         most_read,
@@ -92,13 +89,24 @@ fn fixture(tag: &str) -> Fixture {
     }
 }
 
-/// A config whose filters, when they run, drop every candidate (the
-/// genre allowlist is empty), so a filtered pool always falls through
-/// to the terminal slots.
-fn filter_all(fx: &Fixture) -> EngineConfigBuilder {
-    EngineConfig::builder()
-        .book_genres(Arc::clone(&fx.genres))
-        .filter(Arc::new(GenreFilter::new(Vec::new())))
+/// A filter that drops every candidate.
+#[derive(Debug)]
+struct DropAll;
+
+impl CandidateFilter for DropAll {
+    fn name(&self) -> &'static str {
+        "drop-all"
+    }
+
+    fn retain(&self, _: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
+        pool.clear();
+    }
+}
+
+/// A config whose filters, when they run, drop every candidate, so a
+/// filtered pool always falls through to the terminal slots.
+fn filter_all() -> EngineConfigBuilder {
+    EngineConfig::builder().filter(Arc::new(DropAll))
 }
 
 /// Per config — the fallback chain and the pipeline sources, none set
@@ -157,7 +165,7 @@ fn engine_at(
 ) -> ServingEngine {
     let clock = Arc::new(FakeClock::new());
     let tracer = Tracer::enabled(4096, Arc::clone(&clock) as Arc<dyn Clock>);
-    let mut builder = filter_all(fx)
+    let mut builder = filter_all()
         .chain(slots(chain))
         .workers(1)
         .clock(Arc::clone(&clock) as Arc<dyn Clock>)
@@ -244,7 +252,7 @@ fn terminal_slots_serve_the_exact_f32_model() {
         // The filters empty the source's pool, so the chain's only slot
         // answers every user.
         let source = if slot == M { B } else { M };
-        let config = filter_all(&fx)
+        let config = filter_all()
             .chain(vec![slot])
             .pipeline_sources(vec![source]);
         let engine = ServingEngine::load(&fx.full, &fx.train, config.build().expect("valid"))
@@ -276,9 +284,9 @@ fn terminal_slots_serve_the_exact_f32_model() {
                 assert_eq!(books, expected, "{what}");
                 assert_eq!(engine.recommend(user, k), expected, "{what}");
                 let source = SourceId::Fallback(slot);
-                let expected: Vec<Explanation> = expected
+                let expected: Vec<Candidate> = expected
                     .iter()
-                    .map(|&book| Explanation {
+                    .map(|&book| Candidate {
                         book,
                         source,
                         reason: reason(book),

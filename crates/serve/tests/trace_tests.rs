@@ -294,13 +294,13 @@ mod chaos {
             .expect("breaker transition traced");
         assert!(transition
             .fields
-            .contains(&(("slot", Value::Str("bpr".into())))));
+            .contains(&("slot", Value::Str("bpr".into()))));
         assert!(transition
             .fields
-            .contains(&(("to", Value::Str("open".into())))));
+            .contains(&("to", Value::Str("open".into()))));
         // The error outcomes are traced too.
         assert!(events.iter().any(|e| e.name == "slot_call"
             && e.fields
-                .contains(&(("outcome", Value::Str("injected_error".into()))))));
+                .contains(&("outcome", Value::Str("injected_error".into())))));
     }
 }

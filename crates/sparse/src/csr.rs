@@ -166,12 +166,6 @@ impl CsrMatrix {
         self.indices.len()
     }
 
-    /// True when the matrix stores no values (binary pattern matrix).
-    #[must_use]
-    pub fn is_pattern(&self) -> bool {
-        self.values.is_empty() && !self.indices.is_empty() || self.values.is_empty()
-    }
-
     /// Column indices of row `r` (sorted ascending).
     #[inline]
     #[must_use]

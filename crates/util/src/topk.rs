@@ -112,12 +112,6 @@ impl TopK {
         self.heap
     }
 
-    /// Convenience: best-first item indices only.
-    #[must_use]
-    pub fn into_items(self) -> Vec<u32> {
-        self.into_sorted().into_iter().map(|s| s.item).collect()
-    }
-
     /// Re-arms the selector for a new `k`, keeping the heap's allocation —
     /// the reuse hook of the zero-alloc scoring path.
     ///

@@ -13,6 +13,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy (with the rm-serve fault harness and chaos tests compiled in)"
+cargo clippy --workspace --all-targets --features rm-serve/testing -- -D warnings
+
 echo "==> rm-lint (token rules + call-graph reachability, structured allowlist)"
 # Replaces the old grep gates: dot products outside rm_sparse::vecops,
 # Instant::now() outside the Clock abstraction, unwrap/expect on
