@@ -500,7 +500,7 @@ impl Recommender for Bpr {
         // Score four users per pass over the item factors via the shared
         // blocked matvec (bit-identical to matvec_into, so batch answers
         // equal single calls exactly). Scratch is per batch, not per user:
-        // score buffers, the TopK heap, and the caller's ranking pool are
+        // score buffers, the TopK selector, and the caller's ranking pool are
         // all refilled in place.
         let mut top = rm_util::TopK::new(1);
         let mut bufs: [Vec<f32>; 4] = std::array::from_fn(|_| Vec::with_capacity(n_books));

@@ -186,7 +186,7 @@ impl Recommender for ClosestItems {
         };
         out.resize_with(users.len(), Vec::new);
         // All scratch — the Eq. 1 centroid, the catalogue-sized similarity
-        // buffer, the TopK heap, and the caller's ranking pool — is shared
+        // buffer, the TopK selector, and the caller's ranking pool — is shared
         // across the batch; per user nothing is allocated.
         let mut query = Vec::with_capacity(self.store.dim());
         let mut sims = Vec::with_capacity(self.store.len());

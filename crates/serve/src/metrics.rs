@@ -388,7 +388,7 @@ impl MetricsSnapshot {
         gauge(
             &mut out,
             "rm_serve_qps",
-            "Requests per second since metrics creation or reset.",
+            "Requests per second since metrics creation.",
             self.qps(),
         );
         gauge(

@@ -2,32 +2,31 @@
 //!
 //! Stage two of the serving pipeline: the per-source candidate lists
 //! from [`crate::pipeline::sources`] are pooled into one deduplicated
-//! list. The pool is keyed by book index in a `BTreeMap`, so the output
-//! order is ascending book index regardless of how many sources ran or
-//! in which order their emissions arrive — a hard determinism
-//! requirement (DESIGN.md §15). When two sources propose the same book
-//! the *first* source's provenance wins, so the explanation a reader
-//! sees always names the highest-priority signal that suggested the
-//! book.
+//! list. The emissions are concatenated, stably sorted by book index and
+//! deduplicated, so the output order is ascending book index regardless
+//! of how many sources ran or in which order their emissions arrive — a
+//! hard determinism requirement (DESIGN.md §15). When two sources
+//! propose the same book the *first* source's provenance wins (the
+//! stable sort keeps emission order among equal books, and the dedup
+//! keeps the first of each run), so the explanation a reader sees
+//! always names the highest-priority signal that suggested the book.
 
 use super::sources::Candidate;
-use std::collections::BTreeMap;
 
 /// Merges per-source emissions for one user into `pool`, deduplicating
 /// by book with first-source-wins provenance. `pool` is cleared and
-/// refilled in ascending book order.
+/// refilled in ascending book order; reused across calls, it allocates
+/// only the stable sort's scratch.
 pub fn merge_into<'a, I>(emissions: I, pool: &mut Vec<Candidate>)
 where
     I: IntoIterator<Item = &'a [Candidate]>,
 {
-    let mut by_book: BTreeMap<u32, Candidate> = BTreeMap::new();
-    for emission in emissions {
-        for &cand in emission {
-            by_book.entry(cand.book).or_insert(cand);
-        }
-    }
     pool.clear();
-    pool.extend(by_book.into_values());
+    for emission in emissions {
+        pool.extend_from_slice(emission);
+    }
+    pool.sort_by_key(|c| c.book);
+    pool.dedup_by_key(|c| c.book);
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ use rm_dataset::corpus::Corpus;
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
 use rm_embed::ivf::{IvfIndex, IvfScratch};
+use rm_embed::store::EmbeddingStore;
 use rm_sparse::vecops;
 
 /// Which source proposed a candidate.
@@ -188,8 +189,10 @@ impl CandidateSource for ContentSimilarSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
+        let store = self.closest.store();
+        let mut centroid = Vec::new();
         emit_ranked(self.closest, self.id(), users, pool_size, out, |u| {
-            let reason = similar_reason(self.closest, self.train.seen(u));
+            let reason = similar_reason(anchor_into(store, self.train.seen(u), &mut centroid));
             move |_| reason
         });
     }
@@ -418,7 +421,9 @@ impl CandidateSource for AnnContentSimilarSource<'_> {
                     );
                 }
             }
-            let reason = similar_reason(self.closest, seen);
+            // The search is done with the user's mean; normalised in
+            // place it is `store.centroid(seen)`, which picks the anchor.
+            let reason = similar_reason(nearest_seen(store, seen, &mut query));
             slot.extend(ids.iter().map(|&b| Candidate {
                 book: b,
                 source: SourceId::ContentSimilar,
@@ -434,14 +439,27 @@ impl CandidateSource for AnnContentSimilarSource<'_> {
 /// `None` for an empty history.
 #[must_use]
 pub fn anchor_book(closest: &ClosestItems, seen: &[u32]) -> Option<u32> {
+    anchor_into(closest.store(), seen, &mut Vec::new())
+}
+
+/// [`anchor_book`] with a caller-owned centroid buffer, so a chunk of
+/// users shares one allocation.
+fn anchor_into(store: &EmbeddingStore, seen: &[u32], centroid: &mut Vec<f32>) -> Option<u32> {
     if seen.is_empty() {
         return None;
     }
-    let store = closest.store();
-    let centroid = store.centroid(seen);
+    store.mean_embedding_into(seen, centroid);
+    nearest_seen(store, seen, centroid)
+}
+
+/// Normalises `mean` — the mean embedding of `seen` — in place, which
+/// makes it exactly [`EmbeddingStore::centroid`] of `seen`, and returns
+/// the seen book most similar to it (the first on ties).
+fn nearest_seen(store: &EmbeddingStore, seen: &[u32], mean: &mut [f32]) -> Option<u32> {
+    vecops::normalize(mean);
     let mut best: Option<(u32, f32)> = None;
     for &b in seen {
-        let sim = vecops::dot(&centroid, store.embedding(b as usize));
+        let sim = vecops::dot(mean, store.embedding(b as usize));
         let better = match best {
             None => true,
             Some((_, best_sim)) => sim > best_sim,
@@ -453,10 +471,10 @@ pub fn anchor_book(closest: &ClosestItems, seen: &[u32]) -> Option<u32> {
     best.map(|(b, _)| b)
 }
 
-/// The content-similar provenance for a user with history `seen`:
-/// anchored to [`anchor_book`], or exploration for an empty history.
-fn similar_reason(closest: &ClosestItems, seen: &[u32]) -> Reason {
-    anchor_book(closest, seen).map_or(Reason::Exploration, |anchor| Reason::SimilarToBorrowed {
+/// The content-similar provenance for a user's anchor, or exploration
+/// for an empty history.
+fn similar_reason(anchor: Option<u32>) -> Reason {
+    anchor.map_or(Reason::Exploration, |anchor| Reason::SimilarToBorrowed {
         anchor,
     })
 }

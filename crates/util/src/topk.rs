@@ -1,10 +1,17 @@
 //! Deterministic top-k selection of scored items.
 //!
 //! Every recommender ends with "return the k highest-scored unseen books",
-//! over catalogues of a few thousand items and k ≈ 20–50. A bounded binary
-//! min-heap gives O(n log k) with no allocation beyond the k-slot buffer.
-//! Ties are broken toward the *lower* item index so results are fully
-//! deterministic regardless of iteration order quirks.
+//! over catalogues of a few thousand items and k from 10 to a few hundred.
+//! [`TopK`] buffers the offers that beat its current floor; when the
+//! buffer reaches `2k` entries, `select_nth_unstable_by` cuts it back to
+//! the best `k` and the k-th best becomes the new floor. On a long scan
+//! most offers lose to the floor and cost one compare, selection is O(n)
+//! expected plus O(k log k) to sort the survivors, and nothing is
+//! allocated beyond the `2k`-slot buffer.
+//!
+//! The order is total ([`f32::total_cmp`], ties broken toward the *lower*
+//! item index), so the best `k` and their order are unique: results are
+//! fully deterministic regardless of the order items are offered in.
 
 use std::cmp::Ordering;
 
@@ -14,16 +21,16 @@ pub struct Scored {
     /// Item identifier (recommenders use dense item indices).
     pub item: u32,
     /// Score; higher is better. NaN scores are skipped by
-    /// [`TopK::push`] in every build profile, and the heap ordering is
-    /// total ([`f32::total_cmp`]) so a NaN reaching the comparator can
+    /// [`TopK::push`] in every build profile, and the selector's ordering
+    /// is total ([`f32::total_cmp`]) so a NaN reaching the comparator can
     /// never panic a serving thread.
     pub score: f32,
 }
 
 impl Scored {
-    /// Ordering used by the heap: primarily by score, ties by *reversed*
-    /// item index so that the "smaller index wins" rule holds for equal
-    /// scores.
+    /// Ordering used by the selector: primarily by score, ties by
+    /// *reversed* item index so that the "smaller index wins" rule holds
+    /// for equal scores.
     ///
     /// Scores compare with [`f32::total_cmp`], which is total over every
     /// bit pattern — `push` filters NaN, but a serving path must not be
@@ -39,12 +46,23 @@ impl Scored {
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    /// Min-heap on (score, Reverse(item)): `heap[0]` is the current worst
-    /// kept element.
-    heap: Vec<Scored>,
+    /// Offers that beat `floor`, unordered; cut back to the best `k`
+    /// whenever it reaches `2k`.
+    buf: Vec<Scored>,
+    /// The k-th best item the last cut kept: an offer must beat it to be
+    /// buffered. [`TopK::OPEN`] until the first cut.
+    floor: Scored,
 }
 
 impl TopK {
+    /// The floor of a selector that has not cut yet. A negative NaN sorts
+    /// below `-inf` under [`f32::total_cmp`], so every offer that passes
+    /// `push`'s NaN check beats it.
+    const OPEN: Scored = Scored {
+        item: u32::MAX,
+        score: -f32::NAN,
+    };
+
     /// Creates a selector that keeps the best `k` items.
     ///
     /// # Panics
@@ -52,122 +70,96 @@ impl TopK {
     /// Panics if `k == 0`.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "top-k requires k >= 1");
-        Self {
+        let mut sel = Self {
             k,
-            heap: Vec::with_capacity(k),
-        }
+            buf: Vec::new(),
+            floor: Self::OPEN,
+        };
+        sel.reset(k);
+        sel
     }
 
-    /// Capacity `k`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of items currently held.
+    /// Number of items the selector would return now: the offers kept so
+    /// far, at most `k`.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.buf.len().min(self.k)
     }
 
-    /// True when no item has been offered yet.
+    /// True when the selector holds no item.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.buf.is_empty()
     }
 
     /// Offers a candidate. NaN scores are dropped: a recommender that
     /// divides by a zero norm must degrade a candidate, not kill serving.
     #[inline]
     pub fn push(&mut self, item: u32, score: f32) {
-        if score.is_nan() {
+        let cand = Scored { item, score };
+        if score.is_nan() || cand.cmp_key(&self.floor) != Ordering::Greater {
             return;
         }
-        let cand = Scored { item, score };
-        if self.heap.len() < self.k {
-            self.heap.push(cand);
-            self.sift_up(self.heap.len() - 1);
-        } else if cand.cmp_key(&self.heap[0]) == Ordering::Greater {
-            self.heap[0] = cand;
-            self.sift_down(0);
+        self.buf.push(cand);
+        if self.buf.len() == 2 * self.k {
+            self.cut();
         }
-    }
-
-    /// The score a candidate must beat to enter a full selector; `None`
-    /// while the selector still has room.
-    #[must_use]
-    pub fn threshold(&self) -> Option<f32> {
-        (self.heap.len() == self.k).then(|| self.heap[0].score)
     }
 
     /// Consumes the selector, returning items sorted best-first
     /// (descending score, ascending item index on ties).
     #[must_use]
     pub fn into_sorted(mut self) -> Vec<Scored> {
-        // Unstable sort: `cmp_key` is total and no two entries share an
-        // item index, so stability buys nothing — and the unstable sort
-        // does not allocate, which the zero-alloc scoring path relies on.
-        self.heap.sort_unstable_by(|a, b| b.cmp_key(a));
-        self.heap
+        self.sort_survivors();
+        self.buf
     }
 
-    /// Re-arms the selector for a new `k`, keeping the heap's allocation —
-    /// the reuse hook of the zero-alloc scoring path.
+    /// Re-arms the selector for a new `k`, keeping the buffer's allocation
+    /// — the reuse hook of the zero-alloc scoring path.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn reset(&mut self, k: usize) {
         assert!(k > 0, "top-k requires k >= 1");
+        self.buf.clear();
+        self.floor = Self::OPEN;
+        // With the buffer empty, this guarantees capacity >= 2k, the most
+        // it holds before a cut: it may grow the buffer on the first reuse
+        // with a larger k, and is a no-op (allocation-free) afterwards.
+        self.buf.reserve(k.saturating_mul(2));
         self.k = k;
-        self.heap.clear();
-        // With the heap empty, this guarantees capacity >= k: it may grow
-        // the buffer on the first reuse with a larger k, and is a no-op
-        // (allocation-free) afterwards.
-        self.heap.reserve(k);
     }
 
     /// Drains the selection into `out` (cleared first) best-first, leaving
     /// the selector empty but its allocation intact. Allocation-free once
     /// `out` has capacity `k`.
     pub fn drain_sorted_into(&mut self, out: &mut Vec<u32>) {
+        self.sort_survivors();
         out.clear();
-        self.heap.sort_unstable_by(|a, b| b.cmp_key(a));
-        out.extend(self.heap.iter().map(|s| s.item));
-        self.heap.clear();
+        out.extend(self.buf.iter().map(|s| s.item));
+        self.buf.clear();
+        self.floor = Self::OPEN;
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].cmp_key(&self.heap[parent]) == Ordering::Less {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
+    /// Cuts the buffer (more than `k` entries) back to its best `k` and
+    /// raises the floor to the k-th best.
+    fn cut(&mut self) {
+        let last = self.k - 1;
+        self.buf.select_nth_unstable_by(last, |a, b| b.cmp_key(a));
+        self.buf.truncate(self.k);
+        self.floor = self.buf[last];
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let l = 2 * i + 1;
-            let r = l + 1;
-            let mut smallest = i;
-            if l < n && self.heap[l].cmp_key(&self.heap[smallest]) == Ordering::Less {
-                smallest = l;
-            }
-            if r < n && self.heap[r].cmp_key(&self.heap[smallest]) == Ordering::Less {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
+    /// Leaves only the best `k` in the buffer, sorted best-first.
+    fn sort_survivors(&mut self) {
+        if self.buf.len() > self.k {
+            self.cut();
         }
+        // Unstable sort: `cmp_key` is total and no two entries share an
+        // item index, so stability buys nothing — and the unstable sort
+        // does not allocate, which the zero-alloc scoring path relies on.
+        self.buf.sort_unstable_by(|a, b| b.cmp_key(a));
     }
 }
 
@@ -205,18 +197,6 @@ mod tests {
         let scored = top_k_of([(5, 1.0), (1, 1.0), (3, 1.0)], 2);
         let items: Vec<u32> = scored.iter().map(|s| s.item).collect();
         assert_eq!(items, vec![1, 3]);
-    }
-
-    #[test]
-    fn threshold_reports_current_floor() {
-        let mut sel = TopK::new(2);
-        assert_eq!(sel.threshold(), None);
-        sel.push(0, 1.0);
-        assert_eq!(sel.threshold(), None);
-        sel.push(1, 2.0);
-        assert_eq!(sel.threshold(), Some(1.0));
-        sel.push(2, 3.0);
-        assert_eq!(sel.threshold(), Some(2.0));
     }
 
     #[test]
@@ -272,8 +252,8 @@ mod tests {
     #[test]
     fn mixed_nan_inf_churn_is_total() {
         // Release-build regression guard for the old partial_cmp panic:
-        // interleave NaN and ±inf through enough pushes to exercise both
-        // sift directions.
+        // interleave NaN and ±inf through enough pushes to cut the buffer
+        // many times.
         let mut sel = TopK::new(4);
         for i in 0..64u32 {
             let score = match i % 4 {
@@ -330,19 +310,66 @@ mod tests {
         assert_eq!(from_drain, from_sorted);
     }
 
+    /// Scores that tie often and cover every edge of `total_cmp`:
+    /// signed zeros, NaN, both infinities, and repeated finite values.
+    const EDGE_SCORES: [f32; 8] = [
+        -0.0,
+        0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1.0,
+        -1.0,
+        1.0,
+    ];
+
     proptest! {
         #[test]
-        fn matches_full_sort(scores in proptest::collection::vec(-1000i32..1000, 1..200), k in 1usize..30) {
-            let pairs: Vec<(u32, f32)> = scores.iter().enumerate()
-                .map(|(i, &s)| (i as u32, s as f32)).collect();
-            let got: Vec<u32> = top_k_of(pairs.iter().copied(), k)
-                .into_iter().map(|s| s.item).collect();
+        fn matches_full_sort(
+            draws in proptest::collection::vec((0usize..16, -100i32..100), 1..200),
+            ascending in 0u8..2,
+            ks in proptest::collection::vec(1usize..240, 1..5),
+        ) {
+            // Half the draws come from the edge pool, half are integers.
+            let mut scores: Vec<f32> = draws
+                .iter()
+                .map(|&(pick, int)| EDGE_SCORES.get(pick).copied().unwrap_or(int as f32))
+                .collect();
+            // Ascending offers all beat the floor: one cut per k offers.
+            if ascending == 1 {
+                scores.sort_by(f32::total_cmp);
+            }
+            let pairs: Vec<(u32, f32)> = scores
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| (i as u32, s))
+                .collect();
+            let mut all: Vec<(u32, f32)> =
+                pairs.iter().copied().filter(|p| !p.1.is_nan()).collect();
+            all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
-            let mut all = pairs;
-            all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-            all.truncate(k);
-            let want: Vec<u32> = all.into_iter().map(|(i, _)| i).collect();
-            prop_assert_eq!(got, want);
+            // One selector, re-armed while k grows and shrinks past n.
+            let mut sel = TopK::new(ks[0]);
+            let mut got = Vec::new();
+            for &k in &ks {
+                let want: Vec<(u32, u32)> =
+                    all.iter().take(k).map(|&(i, s)| (i, s.to_bits())).collect();
+                sel.reset(k);
+                let buffer = (sel.buf.as_ptr(), sel.buf.capacity());
+                for &(i, s) in &pairs {
+                    sel.push(i, s);
+                }
+                sel.drain_sorted_into(&mut got);
+                // Nothing was allocated after the reset.
+                prop_assert_eq!((sel.buf.as_ptr(), sel.buf.capacity()), buffer);
+                prop_assert_eq!(&got, &want.iter().map(|p| p.0).collect::<Vec<_>>());
+
+                let sorted: Vec<(u32, u32)> = top_k_of(pairs.iter().copied(), k)
+                    .iter()
+                    .map(|s| (s.item, s.score.to_bits()))
+                    .collect();
+                prop_assert_eq!(sorted, want);
+            }
         }
 
         #[test]

@@ -63,11 +63,16 @@ cargo test -q -p rm-serve --test trace_tests
 cargo test -q -p rm-serve --features testing --test trace_tests
 cargo test -q -p rm-serve metrics
 
-echo "==> kernel equivalence suite (unrolled vecops vs scalar reference)"
+echo "==> kernel equivalence suite (unrolled vecops vs scalar reference, selector, merge)"
 # The lane-unrolled kernels must stay within 1e-5 relative of dot_ref and
 # bit-identical across block widths; these proptests are the contract.
+# Likewise the differential proptests are the selector and merge
+# contracts: TopK must return exactly a full total_cmp sort's first k,
+# and merge_into exactly the BTreeMap pool it replaced.
 cargo test -q -p rm-sparse vecops
 cargo test -q -p rm-sparse dense
+cargo test -q -p rm-util topk
+cargo test -q -p rm-serve merge
 
 echo "==> kernel benches (smoke mode: exercises every kernel, timings noisy)"
 cargo run --release -q -p rm-bench --bin kernel-bench -- --smoke --out /tmp/kernel-bench-smoke.json
