@@ -152,6 +152,13 @@ impl Bpr {
         self.model.as_ref()
     }
 
+    /// The training matrix whose seen books recommendations exclude;
+    /// `None` before [`Recommender::fit`] / [`Bpr::install`].
+    #[must_use]
+    pub fn train(&self) -> Option<&Interactions> {
+        self.train.as_ref()
+    }
+
     /// Per-epoch telemetry of the last fit.
     #[must_use]
     pub fn epoch_stats(&self) -> &[EpochStats] {

@@ -386,7 +386,7 @@ impl PersistModel for AnnArtifact {
 
     /// `flags u32 (bit 0 = content index present, bit 1 = cf index
     /// present) | [content index] | [cf index]`, each index encoded by
-    /// [`encode_ivf`].
+    /// `encode_ivf`.
     fn encode_payload(&self, out: &mut Vec<u8>) {
         let flags = usize::from(self.content.is_some()) | (usize::from(self.cf.is_some()) << 1);
         push_u32(out, flags);

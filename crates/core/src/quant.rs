@@ -709,15 +709,32 @@ impl<'a> QuantRecommender<'a> {
     /// not match the interaction matrix.
     #[must_use]
     pub fn new(artifact: &'a QuantArtifact, train: &'a Interactions) -> Self {
-        let users = artifact.user_factors().expect("user-factors section");
-        let items = artifact.item_factors().expect("item-factors section");
+        Self::from_rows(
+            artifact.user_factors().expect("user-factors section"),
+            artifact.item_factors().expect("item-factors section"),
+            train,
+        )
+    }
+
+    /// Wraps resolved factor sections, such as row views validated at
+    /// install.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a section's row count does not match the interactions.
+    #[must_use]
+    pub fn from_rows(
+        users: QuantMatrix<'a>,
+        items: QuantMatrix<'a>,
+        train: &'a Interactions,
+    ) -> Self {
         assert_eq!(users.rows(), train.n_users(), "user rows");
         assert_eq!(items.rows(), train.n_books(), "item rows");
         Self {
             users,
             items,
             train,
-            name: format!("bpr-quant-{}", artifact.mode().label()),
+            name: format!("bpr-quant-{}", users.mode().label()),
         }
     }
 }

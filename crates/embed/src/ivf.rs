@@ -12,7 +12,7 @@
 //!
 //! Determinism guarantees, in the workspace's usual terms:
 //!
-//! * centroid init draws from [`rng_from_seed`]`(`[`derive_seed`]`(seed,
+//! * centroid init draws from [`rng_from_seed`](rm_util::rng::rng_from_seed)`(`[`derive_seed`]`(seed,
 //!   …))` streams — two builds from the same rows and config are
 //!   identical;
 //! * k-means runs a *fixed* iteration count over a stride-sampled

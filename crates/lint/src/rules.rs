@@ -269,10 +269,11 @@ static EXPLAIN: &[(&str, &str, &str)] = &[
          at install time and reused per chunk; each surviving allocation must be approved as \
          bounded scratch with a written reason.",
         "error[alloc-reachable-from-serve-path]: allocation reachable from a request root: \
-         format!(…)\n  --> crates/core/src/quant.rs:700:19 (rm_core::quant::QuantRecommender::new)\n  \
-         via: rm_serve::engine::ServingEngine::serve_chunk_with → \
-         rm_serve::pipeline::sources::QuantCfNeighboursSource::new → \
-         rm_core::quant::QuantRecommender::new",
+         Vec::new(…)\n  --> crates/core/src/quant.rs:759:26 \
+         (rm_core::quant::QuantRecommender::recommend)\n  \
+         via: rm_serve::pipeline::sources::CfNeighboursSource::emit_batch → \
+         rm_serve::pipeline::sources::emit_ranked → rm_core::Recommender::recommend_batch_into → \
+         rm_core::quant::QuantRecommender::recommend",
     ),
     (
         crate::callgraph::RULE_TAINT,

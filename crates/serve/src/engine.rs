@@ -55,9 +55,9 @@ use crate::overload::{
     DegradationLevel, LevelTransition, OverloadConfig, OverloadGovernor, ShedReason,
 };
 use crate::pipeline::{
-    merge_into, rank_pool_into, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres,
-    Candidate, CandidateFilter, CandidateSource, CfNeighboursSource, ContentSimilarSource,
-    FallbackSource, FilterCtx, MostReadSource, PipelineConfig, QuantCfNeighboursSource, SourceId,
+    merge_into, rank_pool_into, BookGenres, Candidate, CandidateFilter, CandidateSource,
+    CfNeighboursSource, ContentSimilarSource, FallbackSource, FilterCtx, MostReadSource,
+    PipelineConfig, SourceId,
 };
 use crate::registry::{ArtifactRegistry, LoadedArtifacts};
 use rm_core::bpr::{Bpr, BprConfig};
@@ -291,12 +291,6 @@ impl EngineConfigBuilder {
     /// Appends one candidate filter (applied in push order).
     pub fn filter(mut self, filter: Arc<dyn CandidateFilter>) -> Self {
         self.config.pipeline.filters.push(filter);
-        self
-    }
-
-    /// Replaces the whole filter list.
-    pub fn filters(mut self, filters: Vec<Arc<dyn CandidateFilter>>) -> Self {
-        self.config.pipeline.filters = filters;
         self
     }
 
@@ -1048,50 +1042,37 @@ impl ServingEngine {
     }
 
     /// Wraps `slot`'s loaded model as its candidate source (`None` when
-    /// the slot is degraded, mirroring [`Self::slot_model`]). `exact`
-    /// asks for the exact-scan f32 source even when IVF or quantized
-    /// artifacts are active: a terminal slot answers exactly what its
+    /// the slot is degraded, mirroring [`Self::slot_model`]), applying
+    /// the validated IVF index and quantized rows. `exact` asks for the
+    /// plain f32 scan instead: a terminal slot answers exactly what its
     /// model would.
     fn slot_source(&self, slot: ModelSlot, exact: bool) -> Option<Box<dyn CandidateSource + '_>> {
         let nprobe = self.config.pipeline.ann_nprobe;
         let ann = self.ann.as_ref().filter(|_| !exact);
-        let source: Box<dyn CandidateSource + '_> = match slot {
+        Some(match slot {
             ModelSlot::Bpr => {
-                let m = self.bpr.as_ref()?;
-                let quant = self.quant_cf_rows().filter(|_| !exact);
-                match (ann.and_then(|a| a.cf.as_ref()), quant) {
-                    (Some(idx), Some((qu, qi))) => Box::new(
-                        AnnCfNeighboursSource::new(m, &self.train, idx, nprobe).with_quant(qu, qi),
-                    ),
-                    (Some(idx), None) => {
-                        Box::new(AnnCfNeighboursSource::new(m, &self.train, idx, nprobe))
-                    }
-                    (None, Some(_)) => Box::new(QuantCfNeighboursSource::new(
-                        self.quant.as_ref()?,
-                        &self.train,
-                    )),
-                    (None, None) => Box::new(CfNeighboursSource::new(m)),
+                let mut source = CfNeighboursSource::new(self.bpr.as_ref()?);
+                if let Some(index) = ann.and_then(|a| a.cf.as_ref()) {
+                    source = source.ivf(index, nprobe);
                 }
+                if let Some((user, item)) = self.quant_cf_rows().filter(|_| !exact) {
+                    source = source.with_quant(user, item);
+                }
+                Box::new(source)
             }
             ModelSlot::ClosestItems => {
-                let m = self.closest.as_ref()?;
-                match (
-                    ann.and_then(|a| a.content.as_ref()),
-                    self.quant_embedding_rows(),
-                ) {
-                    (Some(idx), Some(qe)) => Box::new(
-                        AnnContentSimilarSource::new(m, &self.train, idx, nprobe).with_quant(qe),
-                    ),
-                    (Some(idx), None) => {
-                        Box::new(AnnContentSimilarSource::new(m, &self.train, idx, nprobe))
-                    }
-                    (None, _) => Box::new(ContentSimilarSource::new(m, &self.train)),
+                let mut source = ContentSimilarSource::new(self.closest.as_ref()?, &self.train);
+                if let Some(index) = ann.and_then(|a| a.content.as_ref()) {
+                    source = source.ivf(index, nprobe);
                 }
+                if let Some(embeddings) = self.quant_embedding_rows().filter(|_| !exact) {
+                    source = source.with_quant(embeddings);
+                }
+                Box::new(source)
             }
             ModelSlot::MostRead => Box::new(MostReadSource::new(self.most_read.as_ref()?)),
-            ModelSlot::Random => Box::new(FallbackSource::new(ModelSlot::Random, &self.random)),
-        };
-        Some(source)
+            ModelSlot::Random => Box::new(FallbackSource::new(&self.random)),
+        })
     }
 
     /// Asks `slot`'s breaker to admit a call, folding any state
@@ -1190,16 +1171,26 @@ impl ServingEngine {
     /// [`RecError::Shed`] when admission control rejects the request;
     /// [`RecError::Config`] when overload control is disabled.
     pub fn offer(&self, user: UserIdx, k: usize) -> Result<(), RecError> {
+        self.offer_at(user, k, self.config.clock.now())
+    }
+
+    /// [`ServingEngine::offer`] for a request that arrived at `arrival`
+    /// on the engine clock, possibly in the past: its queueing delay and
+    /// sojourn count from then, not from the offer.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServingEngine::offer`].
+    pub fn offer_at(&self, user: UserIdx, k: usize, arrival: Duration) -> Result<(), RecError> {
         let Some(governor) = &self.governor else {
             return Err(RecError::Config(
                 "admission control requires EngineConfig::overload".into(),
             ));
         };
-        let now = self.config.clock.now();
         let outcome = governor
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .offer(user, k, now);
+            .offer(user, k, arrival);
         outcome.map_err(|reason| self.note_shed(reason, user))
     }
 

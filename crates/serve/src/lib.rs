@@ -27,7 +27,7 @@
 //! failures open a per-slot [circuit breaker](breaker), artifact
 //! publication is atomic and lock-guarded, and `reload` can retry with
 //! deterministic backoff while the old epoch keeps serving. The
-//! `testing` feature adds a [fault-injection harness](fault) (compiled
+//! `testing` feature adds a fault-injection harness (`fault`, compiled
 //! out of default builds) that the chaos test suite and
 //! `serve-bench --chaos` drive.
 //!

@@ -289,7 +289,8 @@ impl LoadReport {
 ///
 /// The engine must have admission control configured
 /// ([`EngineConfig::overload`](crate::engine::EngineConfig::overload)) —
-/// the generator drives [`ServingEngine::offer`] /
+/// the generator drives [`ServingEngine::offer`] (the open loop through
+/// [`ServingEngine::offer_at`], at each request's due time) and
 /// [`ServingEngine::serve_queued`] exclusively, so every request crosses
 /// the governor. The run is single-threaded discrete-event: at each step
 /// all due arrivals are offered, then one queued request is served (the
@@ -340,7 +341,8 @@ pub fn run(engine: &ServingEngine, cfg: &LoadgenConfig) -> Result<LoadReport, Re
             let now = clock.now();
             while issued < cfg.requests && next_arrival <= now {
                 let user = UserIdx(alias.sample(&mut rng) as u32);
-                match engine.offer(user, cfg.k) {
+                // Stamped with its due time, so running late counts.
+                match engine.offer_at(user, cfg.k, next_arrival) {
                     Ok(()) => {}
                     Err(e @ RecError::Config(_)) => return Err(e),
                     Err(_) => shed += 1,

@@ -2,15 +2,15 @@
 //!
 //! One mutex-guarded accumulator shared by every worker thread: request
 //! and cache-hit counters, a quarter-octave latency
-//! [`Histogram`](rm_util::stats::Histogram) in nanoseconds, per-slot
+//! [`rm_util::stats::Histogram`] in nanoseconds, per-slot
 //! serve / fallback counts, and the fault-tolerance counters — slot-call
 //! timeouts, isolated panics, circuit-breaker skips and state
 //! transitions, deadline-exhausted requests, and worker-thread panics.
 //! All wall-clock time flows through the engine's
-//! [`Clock`](rm_util::clock::Clock), so QPS and elapsed time are exact
+//! [`rm_util::clock::Clock`], so QPS and elapsed time are exact
 //! (and testable) under a fake clock. [`ServeMetrics::snapshot`] clones
 //! the state out; [`MetricsSnapshot::render`] formats it with the same
-//! [`Table`](rm_util::report::Table) renderer the evaluation reports
+//! [`rm_util::report::Table`] renderer the evaluation reports
 //! use, and [`MetricsSnapshot::render_prometheus`] emits the standard
 //! text exposition format (counters, gauges, a cumulative-bucket latency
 //! histogram, and — when provided — live breaker states).

@@ -18,12 +18,12 @@
 //!   below a *lower* threshold for a hold period, so the ladder cannot
 //!   flap.
 //! * [`OverloadGovernor`] — composes the two and adds deadline-aware
-//!   shedding: a request whose remaining [`Deadline`] budget is already
+//!   shedding: a request whose remaining [`Deadline`](rm_util::clock::Deadline) budget is already
 //!   below the observed per-request service cost (an EWMA the engine
 //!   feeds back after every serve) is rejected up front
 //!   ([`ShedReason::DeadlineHopeless`]) rather than served late.
 //!
-//! Everything is driven by the engine's [`Clock`], so identical arrival
+//! Everything is driven by the engine's [`Clock`](rm_util::clock::Clock), so identical arrival
 //! schedules under a `FakeClock` produce identical shed decisions and
 //! ladder transitions — the determinism tests assert exactly that.
 

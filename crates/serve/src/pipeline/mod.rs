@@ -12,7 +12,8 @@
 //!
 //! * [`sources`] — [`CandidateSource`]s fan out per request, each
 //!   emitting a few hundred [`Candidate`]s with provenance (who
-//!   proposed the book, and why);
+//!   proposed the book, and why), one type per signal, with IVF
+//!   retrieval and quantized scoring as builder steps;
 //! * [`merge`] — deterministic pooling, deduplicated by book index with
 //!   first-source-wins provenance;
 //! * [`filters`] — [`CandidateFilter`] business rules pruning the pool
@@ -47,7 +48,7 @@ pub use rank::rank_pool_into;
 pub use sources::{
     anchor_book, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres, Candidate,
     CandidateSource, CfNeighboursSource, ContentSimilarSource, FallbackSource, MostReadSource,
-    QuantCfNeighboursSource, Reason, SourceId,
+    Reason, SourceId,
 };
 
 use crate::engine::ModelSlot;

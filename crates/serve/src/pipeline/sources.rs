@@ -3,12 +3,18 @@
 //! A [`CandidateSource`] wraps one retrieval signal — collaborative
 //! filtering, content similarity, global popularity — and emits a few
 //! hundred [`Candidate`]s per user, each carrying its provenance: which
-//! source proposed it ([`SourceId`]) and why ([`Reason`]). The fallback
-//! chain's terminal slots are served by the same exact-scan sources,
-//! asked for `k` candidates. Provenance is what the explanation layer
-//! ([`crate::pipeline::explain`]) surfaces as "because you borrowed X",
-//! and what the merge stage keeps when two sources propose the same
-//! book (first source wins — see [`crate::pipeline::merge`]).
+//! source proposed it ([`SourceId`]) and why ([`Reason`]). Provenance is
+//! what the explanation layer ([`crate::pipeline::explain`]) surfaces as
+//! "because you borrowed X", and what the merge stage keeps when two
+//! sources propose the same book (first source wins — see
+//! [`crate::pipeline::merge`]).
+//!
+//! Each signal has one source type. [`CfNeighboursSource`] and
+//! [`ContentSimilarSource`] start as their model's exact f32 scan; the
+//! builder steps `ivf(index, nprobe)` and `with_quant(…)` move retrieval
+//! to an IVF index and scoring to quantized rows, and the type's one
+//! `emit_batch` picks the path. The fallback chain's terminal slots are
+//! served by the plain exact scans, asked for `k` candidates.
 //!
 //! Sources are ranked *suggestions*, not answers: the pipeline merges,
 //! filters, and re-scores the pooled candidates, so a source only has
@@ -19,7 +25,8 @@ use crate::engine::ModelSlot;
 use rm_core::bpr::Bpr;
 use rm_core::closest::ClosestItems;
 use rm_core::most_read::MostReadItems;
-use rm_core::quant::{QuantArtifact, QuantMatrix, QuantQuery, QuantRecommender};
+use rm_core::quant::{QuantMatrix, QuantQuery, QuantRecommender};
+use rm_core::random::RandomItems;
 use rm_core::Recommender;
 use rm_dataset::corpus::Corpus;
 use rm_dataset::ids::{BookIdx, UserIdx};
@@ -141,16 +148,46 @@ fn emit_ranked<R: FnMut(u32) -> Reason>(
 
 /// CF-neighbours source: the BPR model's top books for the user,
 /// proposed because similar readers borrowed them.
+///
+/// By default the model's exact f32 scan. [`CfNeighboursSource::ivf`]
+/// retrieves through a MIPS IVF index instead (`O(nprobe · list)`, not
+/// `O(catalogue)`; bit-identical to the exhaustive scan at `nprobe` =
+/// the list count), and [`CfNeighboursSource::with_quant`] scores from
+/// quantized factor rows: exhaustively that is [`QuantRecommender`]'s
+/// scan, under IVF the probe re-score. Seen books come from the model's
+/// own training matrix ([`Bpr::train`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CfNeighboursSource<'a> {
     bpr: &'a Bpr,
+    ivf: Option<(&'a IvfIndex, usize)>,
+    quant: Option<(QuantMatrix<'a>, QuantMatrix<'a>)>,
 }
 
 impl<'a> CfNeighboursSource<'a> {
     /// Wraps a fitted (or installed) BPR model.
     #[must_use]
     pub fn new(bpr: &'a Bpr) -> Self {
-        Self { bpr }
+        Self {
+            bpr,
+            ivf: None,
+            quant: None,
+        }
+    }
+
+    /// Retrieves through `index`, the MIPS IVF index built over the
+    /// model's item factors, probing `nprobe` posting lists per user.
+    #[must_use]
+    pub fn ivf(mut self, index: &'a IvfIndex, nprobe: usize) -> Self {
+        self.ivf = Some((index, nprobe));
+        self
+    }
+
+    /// Scores from validated quantized factor rows (`user`, `item`
+    /// sections) instead of the f32 matrices.
+    #[must_use]
+    pub fn with_quant(mut self, user: QuantMatrix<'a>, item: QuantMatrix<'a>) -> Self {
+        self.quant = Some((user, item));
+        self
     }
 }
 
@@ -160,18 +197,62 @@ impl CandidateSource for CfNeighboursSource<'_> {
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.bpr, self.id(), users, pool_size, out, |_| {
-            |_| Reason::CfNeighbours
-        });
+        let reason = |_| |_| Reason::CfNeighbours;
+        let fitted = self.bpr.model().zip(self.bpr.train());
+        let (Some((index, nprobe)), Some((model, train))) = (self.ivf, fitted) else {
+            // The exhaustive scan; an unfitted model answers empty.
+            match (self.quant, fitted) {
+                (Some((qu, qi)), Some((_, train))) => {
+                    let rec = QuantRecommender::from_rows(qu, qi, train);
+                    emit_ranked(&rec, self.id(), users, pool_size, out, reason);
+                }
+                _ => emit_ranked(self.bpr, self.id(), users, pool_size, out, reason),
+            }
+            return;
+        };
+        let mut scratch = IvfScratch::new();
+        let mut ids: Vec<u32> = Vec::new();
+        out.resize_with(users.len(), Vec::new);
+        for (&u, slot) in users.iter().zip(out.iter_mut()) {
+            slot.clear();
+            let query = model.user_factors.row(u.index());
+            let quant = self.quant.map(|(qu, qi)| (qu.row(u.index()), qi));
+            let score = |i: u32| match &quant {
+                Some((urow, qi)) => qi.row(i as usize).dot(urow),
+                None => vecops::dot(query, model.item_factors.row(i as usize)),
+            };
+            index.search_into(
+                query,
+                pool_size,
+                nprobe,
+                train.seen(u),
+                score,
+                &mut scratch,
+                &mut ids,
+            );
+            slot.extend(ids.iter().map(|&b| Candidate {
+                book: b,
+                source: SourceId::CfNeighbours,
+                reason: Reason::CfNeighbours,
+            }));
+        }
     }
 }
 
 /// Content-similar source: Closest Items' top books, each anchored to
 /// the borrowed book most representative of the user's taste.
+///
+/// By default Closest Items' exact f32 scan. [`ContentSimilarSource::ivf`]
+/// retrieves the user's Eq. 1 centroid query through a cosine IVF index
+/// instead (bit-identical at `nprobe` = the list count), and
+/// [`ContentSimilarSource::with_quant`] re-scores its probes against
+/// quantized embedding rows. Either way an empty history emits nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct ContentSimilarSource<'a> {
     closest: &'a ClosestItems,
     train: &'a Interactions,
+    ivf: Option<(&'a IvfIndex, usize)>,
+    quant: Option<QuantMatrix<'a>>,
 }
 
 impl<'a> ContentSimilarSource<'a> {
@@ -179,7 +260,29 @@ impl<'a> ContentSimilarSource<'a> {
     /// seen sets come from.
     #[must_use]
     pub fn new(closest: &'a ClosestItems, train: &'a Interactions) -> Self {
-        Self { closest, train }
+        Self {
+            closest,
+            train,
+            ivf: None,
+            quant: None,
+        }
+    }
+
+    /// Retrieves through `index`, the cosine IVF index built over the
+    /// model's embedding store, probing `nprobe` posting lists per user.
+    #[must_use]
+    pub fn ivf(mut self, index: &'a IvfIndex, nprobe: usize) -> Self {
+        self.ivf = Some((index, nprobe));
+        self
+    }
+
+    /// Re-scores IVF probes against a validated quantized embeddings
+    /// section, quantizing the centroid query once per user. The
+    /// exhaustive scan stays Closest Items' own f32 ranking.
+    #[must_use]
+    pub fn with_quant(mut self, embeddings: QuantMatrix<'a>) -> Self {
+        self.quant = Some(embeddings);
+        self
     }
 }
 
@@ -190,201 +293,14 @@ impl CandidateSource for ContentSimilarSource<'_> {
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
         let store = self.closest.store();
-        let mut centroid = Vec::new();
-        emit_ranked(self.closest, self.id(), users, pool_size, out, |u| {
-            let reason = similar_reason(anchor_into(store, self.train.seen(u), &mut centroid));
-            move |_| reason
-        });
-    }
-}
-
-/// Exact-scan CF-neighbours source backed by a quantized artifact: the
-/// same emission contract as [`CfNeighboursSource`], but every score is
-/// a fused integer dot over the artifact's compact rows instead of an
-/// f32 matvec over the full factor matrices. Installed by the engine
-/// when the artifact's factor sections validate against the live BPR
-/// model; any mismatch keeps the exact f32 source instead.
-pub struct QuantCfNeighboursSource<'a> {
-    rec: QuantRecommender<'a>,
-}
-
-impl<'a> QuantCfNeighboursSource<'a> {
-    /// Wraps a validated quantized artifact and the training matrix its
-    /// factor sections were quantized from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the artifact lacks factor sections or their shapes
-    /// disagree with `train` (the engine validates before wiring).
-    #[must_use]
-    pub fn new(artifact: &'a QuantArtifact, train: &'a Interactions) -> Self {
-        Self {
-            rec: QuantRecommender::new(artifact, train),
-        }
-    }
-}
-
-impl CandidateSource for QuantCfNeighboursSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::CfNeighbours
-    }
-
-    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(&self.rec, self.id(), users, pool_size, out, |_| {
-            |_| Reason::CfNeighbours
-        });
-    }
-}
-
-/// IVF-accelerated CF-neighbours source: sub-linear retrieval over the
-/// BPR item factors through the MIPS index, re-scoring candidates with
-/// the same `dot` kernel the exact scan uses. At `nprobe` = the index's
-/// list count the emission is bit-identical to [`CfNeighboursSource`];
-/// at serving `nprobe` it trades a bounded recall loss for an
-/// `O(nprobe · list)` scan instead of `O(catalogue)`.
-///
-/// With [`AnnCfNeighboursSource::with_quant`] the probe re-score reads
-/// the quantized item rows instead of the f32 factor matrix, so the hot
-/// per-candidate loop touches 4-8× fewer bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct AnnCfNeighboursSource<'a> {
-    bpr: &'a Bpr,
-    train: &'a Interactions,
-    index: &'a IvfIndex,
-    nprobe: usize,
-    quant: Option<(QuantMatrix<'a>, QuantMatrix<'a>)>,
-}
-
-impl<'a> AnnCfNeighboursSource<'a> {
-    /// Wraps an installed BPR model, the training matrix (seen-set
-    /// exclusion), and the MIPS IVF index built over the model's item
-    /// factors.
-    #[must_use]
-    pub fn new(bpr: &'a Bpr, train: &'a Interactions, index: &'a IvfIndex, nprobe: usize) -> Self {
-        Self {
-            bpr,
-            train,
-            index,
-            nprobe,
-            quant: None,
-        }
-    }
-
-    /// Re-scores IVF probes against validated quantized factor rows
-    /// (`user`, `item` sections) instead of the f32 matrices.
-    #[must_use]
-    pub fn with_quant(mut self, user: QuantMatrix<'a>, item: QuantMatrix<'a>) -> Self {
-        self.quant = Some((user, item));
-        self
-    }
-}
-
-impl CandidateSource for AnnCfNeighboursSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::CfNeighbours
-    }
-
-    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        out.resize_with(users.len(), Vec::new);
-        let Some(model) = self.bpr.model() else {
-            for slot in out.iter_mut() {
-                slot.clear();
-            }
+        let Some((index, nprobe)) = self.ivf else {
+            let mut centroid = Vec::new();
+            emit_ranked(self.closest, self.id(), users, pool_size, out, |u| {
+                let reason = similar_reason(anchor_into(store, self.train.seen(u), &mut centroid));
+                move |_| reason
+            });
             return;
         };
-        let mut scratch = IvfScratch::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for (&u, slot) in users.iter().zip(out.iter_mut()) {
-            slot.clear();
-            let query = model.user_factors.row(u.index());
-            match self.quant {
-                Some((qu, qi)) => {
-                    let urow = qu.row(u.index());
-                    self.index.search_into(
-                        query,
-                        pool_size,
-                        self.nprobe,
-                        self.train.seen(u),
-                        |i| qi.row(i as usize).dot(&urow),
-                        &mut scratch,
-                        &mut ids,
-                    );
-                }
-                None => {
-                    self.index.search_into(
-                        query,
-                        pool_size,
-                        self.nprobe,
-                        self.train.seen(u),
-                        |i| vecops::dot(query, model.item_factors.row(i as usize)),
-                        &mut scratch,
-                        &mut ids,
-                    );
-                }
-            }
-            slot.extend(ids.iter().map(|&b| Candidate {
-                book: b,
-                source: SourceId::CfNeighbours,
-                reason: Reason::CfNeighbours,
-            }));
-        }
-    }
-}
-
-/// IVF-accelerated content-similar source: the user's Eq. 1 centroid
-/// query retrieves through the cosine IVF index instead of the full
-/// catalogue matvec, re-scored with the same `dot` kernel. Emission
-/// semantics (empty history → nothing, anchored provenance) match
-/// [`ContentSimilarSource`]; at `nprobe` = the index's list count the
-/// two are bit-identical.
-///
-/// With [`AnnContentSimilarSource::with_quant`] the probe re-score
-/// quantizes the centroid query once per user and dots it against the
-/// artifact's compact embedding rows instead of the f32 store.
-#[derive(Debug, Clone, Copy)]
-pub struct AnnContentSimilarSource<'a> {
-    closest: &'a ClosestItems,
-    train: &'a Interactions,
-    index: &'a IvfIndex,
-    nprobe: usize,
-    quant: Option<QuantMatrix<'a>>,
-}
-
-impl<'a> AnnContentSimilarSource<'a> {
-    /// Wraps a fitted Closest Items model, the training matrix, and the
-    /// cosine IVF index built over the model's embedding store.
-    #[must_use]
-    pub fn new(
-        closest: &'a ClosestItems,
-        train: &'a Interactions,
-        index: &'a IvfIndex,
-        nprobe: usize,
-    ) -> Self {
-        Self {
-            closest,
-            train,
-            index,
-            nprobe,
-            quant: None,
-        }
-    }
-
-    /// Re-scores IVF probes against a validated quantized embeddings
-    /// section instead of the f32 store.
-    #[must_use]
-    pub fn with_quant(mut self, embeddings: QuantMatrix<'a>) -> Self {
-        self.quant = Some(embeddings);
-        self
-    }
-}
-
-impl CandidateSource for AnnContentSimilarSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::ContentSimilar
-    }
-
-    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        let store = self.closest.store();
         let mut query: Vec<f32> = Vec::with_capacity(store.dim());
         let mut scratch = IvfScratch::new();
         let mut ids: Vec<u32> = Vec::new();
@@ -396,31 +312,22 @@ impl CandidateSource for AnnContentSimilarSource<'_> {
                 continue;
             }
             store.mean_embedding_into(seen, &mut query);
-            match self.quant {
-                Some(qe) => {
-                    let qq = QuantQuery::quantize(qe.mode(), &query);
-                    self.index.search_into(
-                        &query,
-                        pool_size,
-                        self.nprobe,
-                        seen,
-                        |i| qe.row(i as usize).dot(&qq.as_row()),
-                        &mut scratch,
-                        &mut ids,
-                    );
-                }
-                None => {
-                    self.index.search_into(
-                        &query,
-                        pool_size,
-                        self.nprobe,
-                        seen,
-                        |i| vecops::dot(&query, store.embedding(i as usize)),
-                        &mut scratch,
-                        &mut ids,
-                    );
-                }
-            }
+            let quant = self
+                .quant
+                .map(|qe| (QuantQuery::quantize(qe.mode(), &query), qe));
+            let score = |i: u32| match &quant {
+                Some((qq, qe)) => qe.row(i as usize).dot(&qq.as_row()),
+                None => vecops::dot(&query, store.embedding(i as usize)),
+            };
+            index.search_into(
+                &query,
+                pool_size,
+                nprobe,
+                seen,
+                score,
+                &mut scratch,
+                &mut ids,
+            );
             // The search is done with the user's mean; normalised in
             // place it is `store.centroid(seen)`, which picks the anchor.
             let reason = similar_reason(nearest_seen(store, seen, &mut query));
@@ -430,6 +337,75 @@ impl CandidateSource for AnnContentSimilarSource<'_> {
                 reason,
             }));
         }
+    }
+}
+
+/// [`CfNeighboursSource`] with [`CfNeighboursSource::ivf`], under the
+/// name the benchmark's stage replay (`perfbench/src/replay.rs`) builds.
+/// A forwarding shim: it goes once the replay calls `ivf(…)` itself
+/// (ROADMAP item 4).
+#[derive(Debug, Clone, Copy)]
+pub struct AnnCfNeighboursSource<'a>(CfNeighboursSource<'a>);
+
+impl<'a> AnnCfNeighboursSource<'a> {
+    /// `CfNeighboursSource::new(bpr).ivf(index, nprobe)`. `train` is
+    /// redundant and ignored: seen books come from the model's own
+    /// training matrix ([`Bpr::train`]), installed from the same matrix.
+    #[must_use]
+    pub fn new(bpr: &'a Bpr, _train: &'a Interactions, index: &'a IvfIndex, nprobe: usize) -> Self {
+        Self(CfNeighboursSource::new(bpr).ivf(index, nprobe))
+    }
+
+    /// [`CfNeighboursSource::with_quant`].
+    #[must_use]
+    pub fn with_quant(self, user: QuantMatrix<'a>, item: QuantMatrix<'a>) -> Self {
+        Self(self.0.with_quant(user, item))
+    }
+}
+
+impl CandidateSource for AnnCfNeighboursSource<'_> {
+    fn id(&self) -> SourceId {
+        self.0.id()
+    }
+
+    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
+        self.0.emit_batch(users, pool_size, out);
+    }
+}
+
+/// [`ContentSimilarSource`] with [`ContentSimilarSource::ivf`], under
+/// the name the benchmark's stage replay (`perfbench/src/replay.rs`)
+/// builds. A forwarding shim: it goes once the replay calls `ivf(…)`
+/// itself (ROADMAP item 4).
+#[derive(Debug, Clone, Copy)]
+pub struct AnnContentSimilarSource<'a>(ContentSimilarSource<'a>);
+
+impl<'a> AnnContentSimilarSource<'a> {
+    /// `ContentSimilarSource::new(closest, train).ivf(index, nprobe)`.
+    #[must_use]
+    pub fn new(
+        closest: &'a ClosestItems,
+        train: &'a Interactions,
+        index: &'a IvfIndex,
+        nprobe: usize,
+    ) -> Self {
+        Self(ContentSimilarSource::new(closest, train).ivf(index, nprobe))
+    }
+
+    /// [`ContentSimilarSource::with_quant`].
+    #[must_use]
+    pub fn with_quant(self, embeddings: QuantMatrix<'a>) -> Self {
+        Self(self.0.with_quant(embeddings))
+    }
+}
+
+impl CandidateSource for AnnContentSimilarSource<'_> {
+    fn id(&self) -> SourceId {
+        self.0.id()
+    }
+
+    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
+        self.0.emit_batch(users, pool_size, out);
     }
 }
 
@@ -559,30 +535,29 @@ impl BookGenres {
     }
 }
 
-/// Wraps any [`Recommender`] as a provenance-neutral source — the
-/// terminal Random Items slot, or a test double. Candidates carry
-/// [`Reason::Exploration`]: a plain fallback has no model-specific
-/// story to tell.
+/// Random Items as a provenance-neutral source: the terminal Random
+/// slot. Candidates carry [`Reason::Exploration`]: a random pick has no
+/// model-specific story to tell.
+#[derive(Debug, Clone, Copy)]
 pub struct FallbackSource<'a> {
-    slot: ModelSlot,
-    model: &'a (dyn Recommender + Sync),
+    random: &'a RandomItems,
 }
 
 impl<'a> FallbackSource<'a> {
-    /// Wraps `model` as the source for `slot`.
+    /// Wraps the fitted Random Items fallback.
     #[must_use]
-    pub fn new(slot: ModelSlot, model: &'a (dyn Recommender + Sync)) -> Self {
-        Self { slot, model }
+    pub fn new(random: &'a RandomItems) -> Self {
+        Self { random }
     }
 }
 
 impl CandidateSource for FallbackSource<'_> {
     fn id(&self) -> SourceId {
-        SourceId::Fallback(self.slot)
+        SourceId::Fallback(ModelSlot::Random)
     }
 
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.model, self.id(), users, pool_size, out, |_| {
+        emit_ranked(self.random, self.id(), users, pool_size, out, |_| {
             |_| Reason::Exploration
         });
     }

@@ -275,6 +275,37 @@ fn open_loop_burst_sheds_degrades_and_recovers() {
     let _ = std::fs::remove_dir_all(fx.registry.dir());
 }
 
+/// An open-loop generator that falls behind stamps each request with
+/// its due time, so the reported latency includes the lateness. With a
+/// flat 5 ms service cost, requests due at 0 and 1 ms are answered at 5
+/// and 10 ms: sojourns of 5 + 9 = 14 ms. Stamping at offer time (5 ms)
+/// would report 5 + 5 = 10 ms.
+#[test]
+fn open_loop_latency_counts_from_the_due_time() {
+    let fx = train_fixture("due-time");
+    let clock = Arc::new(FakeClock::new());
+    let engine = engine_of(
+        &fx,
+        builder(&clock)
+            .overload(OverloadConfig {
+                service_cost: Some([Duration::from_millis(5); DegradationLevel::COUNT]),
+                ..OverloadConfig::default()
+            })
+            .build()
+            .expect("valid config"),
+    );
+    let schedule = LoadgenConfig {
+        requests: 2,
+        base_rps: 1_000.0,
+        mode: ArrivalMode::Open,
+        ..LoadgenConfig::default()
+    };
+    let report = loadgen::run(&engine, &schedule).expect("loadgen runs");
+    assert_eq!((report.answered, report.shed), (2, 0));
+    assert_eq!(report.latency.sum(), Duration::from_millis(14).as_nanos());
+    let _ = std::fs::remove_dir_all(fx.registry.dir());
+}
+
 #[test]
 fn identical_load_schedules_produce_identical_reports() {
     let fx = train_fixture("replay");

@@ -6,7 +6,7 @@
 use rm_core::bpr::{Bpr, BprConfig};
 use rm_core::closest::ClosestItems;
 use rm_core::most_read::MostReadItems;
-use rm_core::quant::{QuantArtifact, QuantMode};
+use rm_core::quant::{QuantArtifact, QuantMode, QuantRecommender};
 use rm_core::Recommender;
 use rm_datagen::Preset;
 use rm_dataset::ids::UserIdx;
@@ -14,7 +14,7 @@ use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::SummaryFields;
 use rm_embed::EncoderConfig;
 use rm_eval::harness::Harness;
-use rm_serve::engine::{EngineConfig, ServingEngine};
+use rm_serve::engine::{EngineConfig, ModelSlot, ServingEngine};
 use rm_serve::registry::{ArtifactRegistry, Manifest, QUANT_FILE};
 use std::path::PathBuf;
 
@@ -32,6 +32,12 @@ struct Fixture {
 /// Trains the Tiny suite and publishes it with a quantized artifact
 /// (pass `None` for a quant-free registry).
 fn train_fixture(tag: &str, mode: Option<QuantMode>) -> Fixture {
+    train_fixture_with(tag, mode, false)
+}
+
+/// [`train_fixture`], plus the IVF ANN artifact built the way
+/// `train --out` builds it when `ann` is set.
+fn train_fixture_with(tag: &str, mode: Option<QuantMode>, ann: bool) -> Fixture {
     let h = Harness::generate(11, Preset::Tiny);
     let train = h.split.train.clone();
     let mut bpr = Bpr::new(BprConfig {
@@ -47,6 +53,16 @@ fn train_fixture(tag: &str, mode: Option<QuantMode>) -> Fixture {
     closest.fit(&train);
     let quant = mode
         .map(|m| QuantArtifact::quantize(m, bpr.model().expect("fitted"), Some(closest.store())));
+    let ann = ann.then(|| {
+        let ivf_config = rm_embed::IvfConfig::for_catalogue(train.n_books());
+        rm_embed::AnnArtifact {
+            content: Some(rm_embed::IvfIndex::build(closest.store(), &ivf_config)),
+            cf: Some(rm_embed::IvfIndex::build_mips(
+                &bpr.model().expect("fitted").item_factors,
+                &ivf_config,
+            )),
+        }
+    });
     let registry = ArtifactRegistry::new(unique_dir(tag));
     registry
         .save(
@@ -57,7 +73,7 @@ fn train_fixture(tag: &str, mode: Option<QuantMode>) -> Fixture {
             bpr.model().expect("fitted"),
             &most_read,
             closest.store(),
-            None,
+            ann.as_ref(),
             quant.as_ref(),
         )
         .expect("save artifacts");
@@ -90,6 +106,84 @@ fn quantized_engine_activates_and_serves() {
                 .all(|b| fx.train.seen(user).binary_search(b).is_err()));
         }
         let _ = std::fs::remove_dir_all(fx.registry.dir());
+    }
+}
+
+/// With no ANN artifact the quantized CF source is
+/// `QuantRecommender`'s exhaustive scan. `pool_size(1)` makes the pool
+/// exactly that scan's top-k, so the engine must answer it: a source
+/// that scanned the f32 rows instead would pool other books.
+#[test]
+fn quantized_cf_source_answers_the_quant_recommender() {
+    for mode in [QuantMode::I8, QuantMode::F16] {
+        let fx = train_fixture(&format!("exhaustive-{}", mode.label()), Some(mode));
+        let config = EngineConfig::builder()
+            .pool_size(1)
+            .build()
+            .expect("valid config");
+        let engine = ServingEngine::load(&fx.registry, &fx.train, config).expect("loads");
+        assert!(!engine.ann_cf_active());
+        assert!(engine.quant_cf_active(), "{:?}", engine.quant_notes());
+        let artifact = fx
+            .registry
+            .load()
+            .expect("registry loads")
+            .quant
+            .expect("quant artifact");
+        let reference = QuantRecommender::new(&artifact, &fx.train);
+        for k in [1usize, 5, 10] {
+            for u in 0..fx.train.n_users() as u32 {
+                let user = UserIdx(u);
+                assert_eq!(
+                    engine.recommend(user, k),
+                    reference.recommend(user, k),
+                    "{} user {u} k {k}",
+                    mode.label()
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(fx.registry.dir());
+    }
+}
+
+/// The same quantized artifact published next to an ANN artifact and
+/// probed in full (`ann_nprobe(usize::MAX)`): the CF source retrieves
+/// through the IVF index, re-scoring the same quantized rows, so its
+/// answers and explanations equal the exhaustive quantized scan's.
+#[test]
+fn quantized_cf_source_at_full_nprobe_matches_the_exhaustive_scan() {
+    for mode in [QuantMode::I8, QuantMode::F16] {
+        let plain = train_fixture(&format!("full-ivf-plain-{}", mode.label()), Some(mode));
+        let with_ann =
+            train_fixture_with(&format!("full-ivf-ann-{}", mode.label()), Some(mode), true);
+        let config = || {
+            EngineConfig::builder()
+                .pipeline_sources(vec![ModelSlot::Bpr])
+                .pool_size(1)
+                .ann_nprobe(usize::MAX)
+                .build()
+                .expect("valid config")
+        };
+        let exhaustive =
+            ServingEngine::load(&plain.registry, &plain.train, config()).expect("loads");
+        let ivf =
+            ServingEngine::load(&with_ann.registry, &with_ann.train, config()).expect("loads");
+        assert!(!exhaustive.ann_cf_active() && exhaustive.quant_cf_active());
+        assert!(ivf.ann_cf_active(), "{:?}", ivf.ann_notes());
+        assert!(ivf.quant_cf_active(), "{:?}", ivf.quant_notes());
+        for k in [1usize, 5, 10] {
+            for u in 0..plain.train.n_users() as u32 {
+                let user = UserIdx(u);
+                assert_eq!(
+                    exhaustive.recommend_explained(user, k),
+                    ivf.recommend_explained(user, k),
+                    "{} user {u} k {k}",
+                    mode.label()
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(plain.registry.dir());
+        let _ = std::fs::remove_dir_all(with_ann.registry.dir());
     }
 }
 

@@ -16,6 +16,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (with the rm-serve fault harness and chaos tests compiled in)"
 cargo clippy --workspace --all-targets --features rm-serve/testing -- -D warnings
 
+echo "==> rustdoc (workspace, -D warnings, with and without the rm-serve fault harness)"
+# Intra-doc links name types across crates and feature gates; a renamed
+# or deleted item must fail here rather than leave a dead link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --features rm-serve/testing
+
 echo "==> rm-lint (token rules + call-graph reachability, structured allowlist)"
 # Replaces the old grep gates: dot products outside rm_sparse::vecops,
 # Instant::now() outside the Clock abstraction, unwrap/expect on
