@@ -131,7 +131,8 @@ fn main() {
             unrolled_ns: unrolled,
         });
 
-        // Register-blocked scan: four queries per pass, per-query cost.
+        // Register-blocked scan: four queries share one pass over the
+        // matrix. The row times one call, which scores all four queries.
         let queries: Vec<Vec<f32>> = (0..4).map(|q| vec_of(10 + q, dim)).collect();
         let xs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         let mut outs: Vec<Vec<f32>> = (0..4).map(|_| Vec::with_capacity(CATALOGUE)).collect();

@@ -14,7 +14,7 @@
 //! comparable across catalogue sizes. A plain-BPR (sigmoid) update is
 //! available for ablation via [`Loss::Bpr`].
 
-use crate::{rank_by_scores, rank_by_scores_into, Recommender};
+use crate::{rank_by_scores, rank_by_scores_blocked_into, Recommender};
 use rand::seq::SliceRandom;
 use rand::RngExt;
 use rm_dataset::ids::{BookIdx, UserIdx};
@@ -502,46 +502,20 @@ impl Recommender for Bpr {
             out.resize_with(users.len(), Vec::new);
             return;
         };
-        let n_books = train.n_books();
-        out.resize_with(users.len(), Vec::new);
-        // Score four users per pass over the item factors via the shared
-        // blocked matvec (bit-identical to matvec_into, so batch answers
-        // equal single calls exactly). Scratch is per batch, not per user:
-        // score buffers, the TopK selector, and the caller's ranking pool are
-        // all refilled in place.
-        let mut top = rm_util::TopK::new(1);
-        let mut bufs: [Vec<f32>; 4] = std::array::from_fn(|_| Vec::with_capacity(n_books));
-        let mut slot = 0usize;
-        let mut quads = users.chunks_exact(4);
-        for quad in &mut quads {
-            let xs: [&[f32]; 4] = std::array::from_fn(|i| m.user_factors.row(quad[i].index()));
-            m.item_factors.matvec_block_into(&xs, &mut bufs);
-            for (&u, scores) in quad.iter().zip(&bufs) {
-                rank_by_scores_into(
-                    n_books,
-                    train.seen(u),
-                    k,
-                    |b| scores[b as usize],
-                    &mut top,
-                    &mut out[slot],
-                );
-                slot += 1;
-            }
-        }
-        for &u in quads.remainder() {
-            let scores = &mut bufs[0];
-            m.item_factors
-                .matvec_into(m.user_factors.row(u.index()), scores);
-            rank_by_scores_into(
-                n_books,
-                train.seen(u),
-                k,
-                |b| scores[b as usize],
-                &mut top,
-                &mut out[slot],
-            );
-            slot += 1;
-        }
+        // Every user has a factor row; the shared blocked loop scores four
+        // of them per pass over the item factors.
+        rank_by_scores_blocked_into(
+            users,
+            train,
+            k,
+            |u, query| {
+                query.clear();
+                query.extend_from_slice(m.user_factors.row(u.index()));
+                true
+            },
+            |queries, scores| m.item_factors.matvec_block_into(queries, scores),
+            out,
+        );
     }
 
     fn rank_all(&self, user: UserIdx) -> Vec<u32> {

@@ -14,7 +14,7 @@
 //! exact pairwise scorer is kept for verification ([`ClosestItems::score`]
 //! uses the same mean, and tests compare against brute force).
 
-use crate::{rank_by_scores, rank_by_scores_into, Recommender};
+use crate::{rank_by_scores, rank_by_scores_blocked_into, rank_by_scores_into, Recommender};
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::{build_summaries, SummaryFields};
@@ -184,28 +184,17 @@ impl Recommender for ClosestItems {
             out.resize_with(users.len(), Vec::new);
             return;
         };
-        out.resize_with(users.len(), Vec::new);
-        // All scratch — the Eq. 1 centroid, the catalogue-sized similarity
-        // buffer, the TopK selector, and the caller's ranking pool — is shared
-        // across the batch; per user nothing is allocated.
-        let mut query = Vec::with_capacity(self.store.dim());
-        let mut sims = Vec::with_capacity(self.store.len());
-        let mut top = rm_util::TopK::new(1);
-        for (&u, slot) in users.iter().zip(out.iter_mut()) {
-            if !self.query_into(u, &mut query) {
-                slot.clear();
-                continue;
-            }
-            self.store.similarities_into(&query, &mut sims);
-            rank_by_scores_into(
-                train.n_books(),
-                train.seen(u),
-                k,
-                |b| sims[b as usize],
-                &mut top,
-                slot,
-            );
-        }
+        // The shared blocked loop builds each user's Eq. 1 centroid and
+        // scans the catalogue once per four users; a user with no training
+        // readings has no centroid and gets an empty slot.
+        rank_by_scores_blocked_into(
+            users,
+            train,
+            k,
+            |u, query| self.query_into(u, query),
+            |queries, sims| self.store.similarities_block_into(queries, sims),
+            out,
+        );
     }
 
     fn rank_all(&self, user: UserIdx) -> Vec<u32> {
@@ -338,13 +327,29 @@ mod tests {
 
     #[test]
     fn batch_matches_single_calls() {
-        // User 1 has an empty history: the batch entry must stay empty
-        // without disturbing its neighbours' shared buffer.
+        // Users 0, 2, 3 and 4 each read one book; user 1 has an empty
+        // history, so its batch entry must stay empty without disturbing
+        // its neighbours' shared buffers. All four fields give the four
+        // books distinct embeddings (the default field set encodes books 0
+        // and 1 identically), so these histories rank the catalogue
+        // differently. The twelve entries fill two blocks of four scored
+        // users, with user 1 inside the first, and leave a remainder of
+        // two; user 2 (book 3) sits in each block, and ranking anyone
+        // against its scores, or it against theirs, changes the answer.
         let c = corpus();
-        let train = Interactions::from_pairs(2, 4, &[(UserIdx(0), BookIdx(0))]);
-        let mut ci = ClosestItems::from_corpus(&c, SummaryFields::BEST, EncoderConfig::default());
+        let train = Interactions::from_pairs(
+            5,
+            4,
+            &[
+                (UserIdx(0), BookIdx(0)),
+                (UserIdx(2), BookIdx(3)),
+                (UserIdx(3), BookIdx(2)),
+                (UserIdx(4), BookIdx(1)),
+            ],
+        );
+        let mut ci = ClosestItems::from_corpus(&c, SummaryFields::ALL, EncoderConfig::default());
         ci.fit(&train);
-        let users = [UserIdx(0), UserIdx(1), UserIdx(0)];
+        let users = [2u32, 0, 1, 3, 4, 0, 2, 4, 3, 1, 2, 0].map(UserIdx);
         for k in [1usize, 3, usize::MAX] {
             let batch = ci.recommend_batch(&users, k);
             assert_eq!(batch.len(), users.len());

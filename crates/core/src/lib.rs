@@ -155,6 +155,67 @@ pub(crate) fn rank_by_scores_into(
     top.drain_sorted_into(out);
 }
 
+/// Ranks a batch of users through query-blocked catalogue scans: the one
+/// batch loop [`bpr::Bpr`] and [`closest::ClosestItems`] share.
+///
+/// `query_into` writes a user's query vector into the buffer it is handed
+/// and returns `false` for a user without one, whose slot in `out` is
+/// left empty. The users that have a query are gathered four at a time
+/// and scored in one `scan` call — a
+/// [`rm_sparse::DenseMatrix::matvec_block_into`] pass, which loads each
+/// catalogue row once for all four — and each is then ranked by
+/// [`rank_by_scores_into`] against its training history. The kernel's
+/// reduction order does not depend on how many queries share a pass, so
+/// every ranking is byte-identical to the model's single-user `recommend`.
+///
+/// The query and score buffers (four of each, grown on first use) and the
+/// `TopK` live for the call; per user and per quad nothing is allocated,
+/// and `out`'s inner vectors are refilled in place.
+pub(crate) fn rank_by_scores_blocked_into(
+    users: &[UserIdx],
+    train: &Interactions,
+    k: usize,
+    mut query_into: impl FnMut(UserIdx, &mut Vec<f32>) -> bool,
+    mut scan: impl FnMut(&[&[f32]], &mut [Vec<f32>]),
+    out: &mut Vec<Vec<u32>>,
+) {
+    const QUAD: usize = 4;
+    let n_books = train.n_books();
+    out.resize_with(users.len(), Vec::new);
+    let mut top = rm_util::TopK::new(1);
+    let mut queries: [Vec<f32>; QUAD] = Default::default();
+    let mut scores: [Vec<f32>; QUAD] = Default::default();
+    let mut slots = [0usize; QUAD];
+    let mut next = 0;
+    loop {
+        let mut n = 0;
+        while n < QUAD && next < users.len() {
+            if query_into(users[next], &mut queries[n]) {
+                slots[n] = next;
+                n += 1;
+            } else {
+                out[next].clear();
+            }
+            next += 1;
+        }
+        if n == 0 {
+            return;
+        }
+        let xs: [&[f32]; QUAD] = std::array::from_fn(|j| queries[j].as_slice());
+        scan(&xs[..n], &mut scores[..n]);
+        for (&slot, scores) in slots[..n].iter().zip(&scores[..n]) {
+            rank_by_scores_into(
+                n_books,
+                train.seen(users[slot]),
+                k,
+                |b| scores[b as usize],
+                &mut top,
+                &mut out[slot],
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -114,6 +114,20 @@ impl EmbeddingStore {
         self.matrix.matvec_into(query, out);
     }
 
+    /// [`EmbeddingStore::similarities_into`] for several queries in one
+    /// pass over the store: `outs[q]` is cleared and refilled with the
+    /// similarities of `queries[q]`. Queries share each row load four at a
+    /// time ([`DenseMatrix::matvec_block_into`]), and every score is
+    /// bit-identical to the single-query scan's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries.len() != outs.len()` or any query's length
+    /// differs from `dim`.
+    pub fn similarities_block_into(&self, queries: &[&[f32]], outs: &mut [Vec<f32>]) {
+        self.matrix.matvec_block_into(queries, outs);
+    }
+
     /// Mean of the embeddings at `indices`, L2-normalised.
     ///
     /// Because rows are unit vectors, the dot of a candidate with this

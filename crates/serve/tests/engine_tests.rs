@@ -12,10 +12,12 @@ use rm_dataset::summary::SummaryFields;
 use rm_embed::{EmbeddingStore, EncoderConfig};
 use rm_eval::harness::Harness;
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ModelSlot, ServingEngine};
+use rm_serve::pipeline::AlreadyBorrowedFilter;
 use rm_serve::registry::{ArtifactRegistry, Manifest, BPR_FILE, MOST_READ_FILE};
 use rm_sparse::DenseMatrix;
 use rm_util::RecError;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn unique_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rm-serve-engine-{tag}-{}", std::process::id()));
@@ -292,29 +294,50 @@ fn batch_matches_single_calls_for_every_worker_count() {
     users.push(UserIdx(n_users + 7));
     users.push(UserIdx(0));
 
-    let reference = engine_of(
-        &fx,
-        EngineConfig::builder()
-            .cache_capacity(0)
-            .workers(1)
-            .build()
-            .expect("valid config"),
-    );
-    let singles: Vec<Vec<u32>> = users.iter().map(|&u| reference.recommend(u, 8)).collect();
+    // The default single-BPR chain, and a multi-source pipeline whose
+    // content source scores chunks of more than four users in one batch.
+    // Its pool is smaller than the catalogue, as at the paper preset, so
+    // what each source ranks first decides what reaches the rank stage.
+    let pipelines: [fn(EngineConfigBuilder) -> EngineConfigBuilder; 2] = [
+        |b| b,
+        |b| {
+            b.pipeline_sources(vec![
+                ModelSlot::Bpr,
+                ModelSlot::ClosestItems,
+                ModelSlot::MostRead,
+            ])
+            .filter(Arc::new(AlreadyBorrowedFilter))
+            .pool_size(16)
+        },
+    ];
+    for (p, pipeline) in pipelines.iter().enumerate() {
+        let reference = engine_of(
+            &fx,
+            pipeline(EngineConfig::builder().cache_capacity(0).workers(1))
+                .build()
+                .expect("valid config"),
+        );
+        let singles: Vec<Vec<u32>> = users.iter().map(|&u| reference.recommend(u, 8)).collect();
 
-    for workers in [1usize, 4, 8] {
-        for cache_capacity in [0usize, 4096] {
-            let engine = engine_of(
-                &fx,
-                EngineConfig::builder()
-                    .workers(workers)
-                    .cache_capacity(cache_capacity)
+        for workers in [1usize, 4, 8] {
+            for cache_capacity in [0usize, 4096] {
+                let engine = engine_of(
+                    &fx,
+                    pipeline(
+                        EngineConfig::builder()
+                            .workers(workers)
+                            .cache_capacity(cache_capacity),
+                    )
                     .build()
                     .expect("valid config"),
-            );
-            let batch = engine.recommend_batch(&users, 8);
-            assert_eq!(batch, singles, "workers={workers} cache={cache_capacity}");
-            assert_eq!(engine.metrics().requests, users.len() as u64);
+                );
+                let batch = engine.recommend_batch(&users, 8);
+                assert_eq!(
+                    batch, singles,
+                    "pipeline={p} workers={workers} cache={cache_capacity}"
+                );
+                assert_eq!(engine.metrics().requests, users.len() as u64);
+            }
         }
     }
     let _ = std::fs::remove_dir_all(fx.registry.dir());

@@ -140,11 +140,13 @@ impl DenseMatrix {
     /// so batch callers can reuse one allocation across calls.
     ///
     /// One lane-unrolled [`crate::vecops::dot`] per row: with a single
-    /// query there is nothing to share across rows, and a one-query kernel
-    /// keeps all eight accumulators in registers (blocking rows through a
-    /// wider `dot_block` spills and measures slower). Row results are
-    /// bit-identical to [`DenseMatrix::matvec_block_into`]'s because the
-    /// kernel's reduction order depends only on the row length.
+    /// query there is no row load to share, and the one-query kernel keeps
+    /// its eight lanes in four two-lane accumulators, bound by add latency.
+    /// Callers with several queries should use
+    /// [`DenseMatrix::matvec_block_into`], which scores four per pass for
+    /// about 1.6× the cost of one. Row results are bit-identical to
+    /// [`DenseMatrix::matvec_block_into`]'s because the kernel's reduction
+    /// order depends only on the row length.
     ///
     /// # Panics
     ///
@@ -159,16 +161,19 @@ impl DenseMatrix {
     }
 
     /// `N` matrix–vector products in one pass over the matrix: the shared
-    /// register-blocked matvec every batch scorer (rm-core recommenders and
-    /// the rm-serve engine) funnels through.
+    /// register-blocked matvec behind rm-core's batch scorers (BPR over its
+    /// item factors, Closest Items over the embedding store, both through
+    /// one blocked loop), which the rm-serve engine's exact sources call.
     ///
     /// Queries are processed in register blocks of four: each row is loaded
     /// from memory once and multiplied into four independent
-    /// [`crate::vecops::dot_block`] accumulator sets (the remainder runs
-    /// through the same kernel at narrower widths). Every query's scores
-    /// are bit-identical to [`DenseMatrix::matvec_into`] of that query
-    /// alone — the kernel's reduction order is width-independent — so
-    /// batch answers equal single-query answers exactly.
+    /// [`crate::vecops::dot_block`] accumulator sets, which the optimised
+    /// build keeps in full-width registers (one call of four costs about
+    /// 1.6× one query's [`DenseMatrix::matvec_into`]). A remainder of one
+    /// to three queries runs one [`DenseMatrix::matvec_into`] each. Every
+    /// query's scores are bit-identical to [`DenseMatrix::matvec_into`] of
+    /// that query alone — the kernel's reduction order is width-independent
+    /// — so batch answers equal single-query answers exactly.
     ///
     /// `outs` entries are cleared and refilled; callers reuse them across
     /// batches.

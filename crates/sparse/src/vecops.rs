@@ -19,8 +19,11 @@
 //!    combines with lane `i + 4`, the four partials fold `i` with `i + 2`,
 //!    the last pair adds left-to-right:
 //!    `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
-//!    This is the tree a 4-wide SIMD horizontal reduction produces, so the
-//!    backend lowers it without any cross-lane shuffles in the hot loop;
+//!    This is the tree a 4-wide SIMD horizontal reduction produces: lanes
+//!    0–3 and 4–7 can live in two full-width registers through the loop,
+//!    the first fold step is one vertical add of the two, and the few
+//!    shuffles run once per call, after the loop (with several queries
+//!    this needs the barrier described in [`dot_block`]'s body);
 //! 3. the scalar tail (`len % 8` trailing elements) is added serially, in
 //!    index order, onto the tree result.
 //!
@@ -59,8 +62,14 @@ pub fn dot_ref(a: &[f32], b: &[f32]) -> f32 {
 /// which is what lets blocked matvecs answer exactly like single queries.
 ///
 /// Sharing the pass matters for matvec-shaped workloads: the row load from
-/// memory is paid once and amortised over `N` accumulator chains. `N` = 4
-/// with 8 lanes fills the SSE2 register file without spilling.
+/// memory is paid once and amortised over `N` accumulator chains. In an
+/// optimised x86-64 build the `N` = 4 loop is `movups` + `mulps` + `addps`
+/// on eight full-width accumulators (two per query), two registers for
+/// the shared row block and two for products: twelve of the sixteen SSE
+/// registers, with nothing spilled. A single query is bound by the add
+/// latency of its accumulator chains; four queries run eight independent
+/// chains and share the row loads, so `N` = 4 costs about 1.6× a single
+/// query per call (`BENCH_kernels.json`).
 ///
 /// # Panics
 ///
@@ -88,6 +97,21 @@ pub fn dot_block<const N: usize>(a: &[f32], bs: [&[f32]; N]) -> [f32; N] {
             }
         }
     }
+    // With several queries, LLVM's SLP vectoriser otherwise plans the loop
+    // and the fold below together: it packs lane sums of *different*
+    // queries into one register for the fold's sake, which puts lane
+    // shuffles and accumulator spills inside the hot loop. `black_box`
+    // hides the fold from it, so each query's lanes 0–3 and 4–7 stay two
+    // full-width accumulators (eight registers at N = 4). The order is
+    // untouched: those halves are exactly what the fold adds first. A
+    // single query skips the barrier: its loop is bound by add latency,
+    // not by the lowering, and the barrier would add a store and reload
+    // to every call.
+    let lanes = if N > 1 {
+        std::hint::black_box(lanes)
+    } else {
+        lanes
+    };
     let mut out = [0.0f32; N];
     let tail = blocks * LANES;
     for q in 0..N {
@@ -532,6 +556,23 @@ mod tests {
         }
     }
 
+    /// The documented reduction order written out as plain scalar code:
+    /// eight lane sums, the fixed halving fold, then the serial tail.
+    /// Independent of `dot_block`, so a fold change in the kernel cannot
+    /// pass by changing both sides of a comparison.
+    fn dot_model(a: &[f32], b: &[f32]) -> f32 {
+        let tail = a.len() / LANES * LANES;
+        let mut l = [0.0f32; LANES];
+        for i in 0..tail {
+            l[i % LANES] += a[i] * b[i];
+        }
+        let mut s = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+        for i in tail..a.len() {
+            s += a[i] * b[i];
+        }
+        s
+    }
+
     #[test]
     fn dot_block_queries_bit_identical_to_single() {
         // The contract that keeps blocked matvec == single matvec: each
@@ -544,6 +585,30 @@ mod tests {
             for (q, qv) in qs.iter().enumerate() {
                 assert_eq!(block[q], dot(&a, qv), "len {len} query {q}");
             }
+        }
+        // Both must also follow the documented order bit for bit, at every
+        // block width and every tail length.
+        fn check<const N: usize>(a: &[f32], qs: &[Vec<f32>]) {
+            let got = dot_block::<N>(a, std::array::from_fn(|q| qs[q].as_slice()));
+            for (q, g) in got.iter().enumerate() {
+                let want = dot_model(a, &qs[q]).to_bits();
+                assert_eq!(g.to_bits(), want, "len {} N {N} query {q}", a.len());
+            }
+        }
+        for len in 0..=300usize {
+            let a = test_vec(len, 3);
+            let qs: Vec<Vec<f32>> = (0..4).map(|q| test_vec(len, 10 + q)).collect();
+            for qv in &qs {
+                assert_eq!(
+                    dot(&a, qv).to_bits(),
+                    dot_model(&a, qv).to_bits(),
+                    "len {len}"
+                );
+            }
+            check::<1>(&a, &qs);
+            check::<2>(&a, &qs);
+            check::<3>(&a, &qs);
+            check::<4>(&a, &qs);
         }
     }
 

@@ -77,6 +77,11 @@ echo "==> kernel equivalence suite (unrolled vecops vs scalar reference, selecto
 # and merge_into exactly the BTreeMap pool it replaced.
 cargo test -q -p rm-sparse vecops
 cargo test -q -p rm-sparse dense
+# The kernels vectorise only in optimised builds, and the bit-identity
+# contract has to hold for that lowering too; the Closest Items batch
+# tests run its four-user scan on it.
+cargo test --release -q -p rm-sparse
+cargo test --release -q -p rm-core closest
 cargo test -q -p rm-util topk
 cargo test -q -p rm-serve merge
 
