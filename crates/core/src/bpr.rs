@@ -517,11 +517,6 @@ impl Recommender for Bpr {
             out,
         );
     }
-
-    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
-        let n_books = self.fitted().map_or(0, |(_, t)| t.n_books());
-        self.recommend(user, n_books)
-    }
 }
 
 #[cfg(test)]

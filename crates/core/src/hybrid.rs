@@ -138,11 +138,6 @@ impl<A: Recommender, B: Recommender> Recommender for Blend<A, B> {
             );
         }
     }
-
-    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
-        let n_books = self.fitted().map_or(0, |t| t.n_books());
-        self.recommend(user, n_books)
-    }
 }
 
 #[cfg(test)]

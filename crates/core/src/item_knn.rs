@@ -232,11 +232,6 @@ impl Recommender for ItemKnn {
             );
         }
     }
-
-    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
-        let n_books = self.fitted().map_or(0, |(t, _)| t.n_books());
-        self.recommend(user, n_books)
-    }
 }
 
 #[cfg(test)]

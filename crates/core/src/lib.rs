@@ -108,9 +108,12 @@ pub trait Recommender {
         }
     }
 
-    /// The full ranking of unseen books (equivalent to
-    /// `recommend(user, n_books)`); used by the First-Rank KPI.
-    fn rank_all(&self, user: UserIdx) -> Vec<u32>;
+    /// The full ranking of unseen books, used by the First-Rank KPI:
+    /// `recommend` with an unbounded `k`, which every implementation
+    /// clamps to the catalogue.
+    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
+        self.recommend(user, usize::MAX)
+    }
 }
 
 /// Shared helper: ranks all books by a score function, excluding `seen`,

@@ -166,11 +166,6 @@ impl Recommender for SequentialItems {
         }
         rank_by_scores(train.n_books(), train.seen(user), k, |b| scores[b as usize])
     }
-
-    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
-        let n_books = self.fitted().map_or(0, |(t, _)| t.n_books());
-        self.recommend(user, n_books)
-    }
 }
 
 #[cfg(test)]

@@ -111,11 +111,6 @@ impl Recommender for MostReadItems {
             .take(k)
             .collect()
     }
-
-    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
-        let n_books = self.fitted().map_or(0, |t| t.n_books());
-        self.recommend(user, n_books)
-    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,20 @@
 //! Binary persistence of trained models.
 //!
 //! A deployed recommendation service (the Reading&Machine VR kiosk) trains
-//! offline and serves online; this module provides the handoff format — a
+//! offline and serves online; this module is the handoff format — a
 //! small self-describing little-endian codec with a magic header, a
 //! per-model tag byte, and a trailing checksum, no external serialisation
-//! dependencies.
+//! dependencies. `rm-serve`'s artifact registry writes one such container
+//! per model and is the only route from training to serving.
 //!
 //! Container layout (version 2): `magic "RMODEL\0\x02" (8) | tag (1) |
 //! model payload | fnv64 of all preceding bytes`. Each persistable model
 //! implements [`PersistModel`] — a payload codec plus a unique tag — and
-//! inherits [`PersistModel::to_bytes`] / [`PersistModel::from_bytes`],
-//! which handle the container (magic, tag dispatch, checksum) uniformly.
-//!
-//! Version-1 files (`"RMBPR\0\0\x01"`, BPR only, no tag byte) are still
-//! decoded by [`BprModel::from_bytes`] and [`decode`]; the seed codec
-//! never wrote any other model kind.
+//! inherits [`PersistModel::to_bytes`] / [`PersistModel::from_bytes`], the
+//! one codec API, which handle the container (magic, tag dispatch,
+//! checksum) uniformly. The codec reads this one version: any other magic,
+//! the untagged version-1 BPR files (`"RMBPR\0\0\x01"`) included, fails
+//! with [`DecodeError::BadMagic`].
 
 use crate::bpr::BprModel;
 use crate::most_read::MostReadItems;
@@ -24,9 +24,6 @@ use std::collections::BTreeMap;
 
 /// Container magic: "RMODEL\0\x02" (version 2, tagged).
 const MAGIC: [u8; 8] = *b"RMODEL\0\x02";
-
-/// Version-1 magic: "RMBPR\0\0\x01" (BPR factors only, untagged).
-const LEGACY_BPR_MAGIC: [u8; 8] = *b"RMBPR\0\0\x01";
 
 /// Errors arising when decoding a serialised model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,13 +146,6 @@ fn container_payload(bytes: &[u8], expected_tag: u8) -> Result<&[u8], DecodeErro
     Ok(&bytes[9..body_end])
 }
 
-/// The model tag stored in a container, without decoding the payload.
-/// `None` when the input is not a version-2 container.
-#[must_use]
-pub fn peek_tag(bytes: &[u8]) -> Option<u8> {
-    (bytes.len() >= 8 + 1 + 8 && bytes[..8] == MAGIC).then(|| bytes[8])
-}
-
 pub(crate) fn push_u32(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&u32::try_from(v).expect("dimension fits u32").to_le_bytes());
 }
@@ -180,8 +170,7 @@ impl PersistModel for BprModel {
     const KIND: &'static str = "bpr";
 
     /// `users u32 | books u32 | factors u32 | user_factors f32×(users·L) |
-    /// item_factors f32×(books·L)` — identical to the version-1 body, so
-    /// the legacy path shares this decoder.
+    /// item_factors f32×(books·L)`.
     fn encode_payload(&self, out: &mut Vec<u8>) {
         let factors = self.user_factors.cols();
         assert_eq!(factors, self.item_factors.cols(), "factor dims disagree");
@@ -213,29 +202,6 @@ impl PersistModel for BprModel {
             item_factors: DenseMatrix::from_vec(books, factors, item_data.to_vec()),
         })
     }
-
-    /// Accepts both the version-2 container and version-1
-    /// (`"RMBPR\0\0\x01"`) files written by the seed codec.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        if bytes.len() >= 8 && bytes[..8] == LEGACY_BPR_MAGIC {
-            return decode_legacy_bpr(bytes);
-        }
-        Self::decode_payload(container_payload(bytes, Self::TAG)?)
-    }
-}
-
-/// Version-1 layout: `magic (8) | users u32 | books u32 | factors u32 |
-/// f32 payload | fnv64` — the body matches the version-2 BPR payload.
-fn decode_legacy_bpr(bytes: &[u8]) -> Result<BprModel, DecodeError> {
-    if bytes.len() < 8 + 12 + 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let body_end = bytes.len() - 8;
-    let declared = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if fnv64(&bytes[..body_end]) != declared {
-        return Err(DecodeError::BadChecksum);
-    }
-    BprModel::decode_payload(&bytes[8..body_end])
 }
 
 impl PersistModel for MostReadItems {
@@ -424,24 +390,6 @@ impl PersistModel for AnnArtifact {
     }
 }
 
-/// Serialises a BPR model (alias for [`PersistModel::to_bytes`], kept for
-/// the original BPR-only API).
-#[must_use]
-pub fn encode(model: &BprModel) -> Vec<u8> {
-    model.to_bytes()
-}
-
-/// Deserialises a BPR model from either codec version (alias for
-/// [`PersistModel::from_bytes`], kept for the original BPR-only API).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] when the input is truncated, has the wrong
-/// magic, inconsistent dimensions, or a bad checksum.
-pub fn decode(bytes: &[u8]) -> Result<BprModel, DecodeError> {
-    BprModel::from_bytes(bytes)
-}
-
 /// Writes `bytes` to `path` atomically: the data goes to a `.tmp`
 /// sibling first, is fsync'd, and is renamed over the destination, so a
 /// crash mid-publication leaves either the old artifact or the new one —
@@ -488,11 +436,11 @@ mod tests {
         }
     }
 
-    /// Re-creates a version-1 file byte stream (what the seed codec
-    /// wrote): legacy magic, untagged body, fnv64 checksum.
+    /// Re-creates a version-1 file byte stream (what the first codec
+    /// wrote): `"RMBPR\0\0\x01"` magic, untagged body, fnv64 checksum.
     fn encode_legacy(model: &BprModel) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&LEGACY_BPR_MAGIC);
+        out.extend_from_slice(b"RMBPR\0\0\x01");
         model.encode_payload(&mut out);
         let checksum = fnv64(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
@@ -502,56 +450,52 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         let m = model();
-        let bytes = encode(&m);
-        let back = decode(&bytes).unwrap();
+        let bytes = m.to_bytes();
+        let back = BprModel::from_bytes(&bytes).unwrap();
         assert_eq!(m, back);
     }
 
     #[test]
-    fn legacy_files_still_decode() {
-        let m = model();
-        let v1 = encode_legacy(&m);
-        assert_eq!(decode(&v1).unwrap(), m);
-        // And legacy corruption is still detected.
-        let mut bad = v1.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x01;
-        assert_eq!(decode(&bad), Err(DecodeError::BadChecksum));
-        assert_eq!(decode(&v1[..v1.len() - 1]), Err(DecodeError::BadChecksum));
-    }
-
-    #[test]
     fn truncation_detected() {
-        let bytes = encode(&model());
-        assert_eq!(decode(&bytes[..10]), Err(DecodeError::Truncated));
+        let bytes = model().to_bytes();
         assert_eq!(
-            decode(&bytes[..bytes.len() - 1]),
+            BprModel::from_bytes(&bytes[..10]),
+            Err(DecodeError::Truncated)
+        );
+        assert_eq!(
+            BprModel::from_bytes(&bytes[..bytes.len() - 1]),
             Err(DecodeError::BadChecksum)
         );
     }
 
     #[test]
     fn bad_magic_detected() {
-        let mut bytes = encode(&model());
+        let mut bytes = model().to_bytes();
         bytes[0] ^= 0xFF;
-        assert_eq!(decode(&bytes), Err(DecodeError::BadMagic));
+        assert_eq!(BprModel::from_bytes(&bytes), Err(DecodeError::BadMagic));
+        // The codec reads one version: a well-formed version-1 stream
+        // fails on its magic.
+        assert_eq!(
+            BprModel::from_bytes(&encode_legacy(&model())),
+            Err(DecodeError::BadMagic)
+        );
     }
 
     #[test]
     fn corruption_detected() {
-        let mut bytes = encode(&model());
+        let mut bytes = model().to_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
-        assert_eq!(decode(&bytes), Err(DecodeError::BadChecksum));
+        assert_eq!(BprModel::from_bytes(&bytes), Err(DecodeError::BadChecksum));
     }
 
     #[test]
     fn dimension_tampering_detected() {
-        let mut bytes = encode(&model());
+        let mut bytes = model().to_bytes();
         // Inflate the user count (first payload u32, after magic + tag).
         bytes[9] = bytes[9].wrapping_add(1);
         assert!(matches!(
-            decode(&bytes),
+            BprModel::from_bytes(&bytes),
             Err(DecodeError::LengthMismatch | DecodeError::BadChecksum)
         ));
     }
@@ -573,23 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_tag_identifies_kind() {
-        assert_eq!(peek_tag(&encode(&model())), Some(BprModel::TAG));
-        assert_eq!(
-            peek_tag(&fitted_most_read().to_bytes()),
-            Some(MostReadItems::TAG)
-        );
-        assert_eq!(peek_tag(b"short"), None);
-        assert_eq!(peek_tag(&encode_legacy(&model())), None);
-    }
-
-    #[test]
     fn empty_model_round_trips() {
         let m = BprModel {
             user_factors: DenseMatrix::zeros(0, 3),
             item_factors: DenseMatrix::zeros(0, 3),
         };
-        let back = decode(&encode(&m)).unwrap();
+        let back = BprModel::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(back.user_factors.rows(), 0);
         assert_eq!(back.item_factors.cols(), 3);
     }
@@ -647,14 +580,14 @@ mod tests {
                 user_factors: DenseMatrix::gaussian(users, factors, 0.5, &mut rng),
                 item_factors: DenseMatrix::gaussian(books, factors, 0.5, &mut rng),
             };
-            let back = decode(&encode(&m)).unwrap();
+            let back = BprModel::from_bytes(&m.to_bytes()).unwrap();
             proptest::prop_assert_eq!(m, back);
         }
 
         #[test]
         fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..256)) {
             // Decoding garbage must fail cleanly, never panic.
-            let _ = decode(&bytes);
+            let _ = BprModel::from_bytes(&bytes);
             let _ = MostReadItems::from_bytes(&bytes);
             let _ = EmbeddingStore::from_bytes(&bytes);
             let _ = AnnArtifact::from_bytes(&bytes);
@@ -673,10 +606,10 @@ mod tests {
                 user_factors: DenseMatrix::gaussian(3, 2, 0.5, &mut rng),
                 item_factors: DenseMatrix::gaussian(4, 2, 0.5, &mut rng),
             };
-            let mut bytes = encode(&m);
+            let mut bytes = m.to_bytes();
             let pos = flip_bit % (bytes.len() * 8);
             bytes[pos / 8] ^= 1 << (pos % 8);
-            proptest::prop_assert!(decode(&bytes).is_err(), "bit {pos} survived");
+            proptest::prop_assert!(BprModel::from_bytes(&bytes).is_err(), "bit {pos} survived");
         }
     }
 
@@ -725,7 +658,7 @@ mod tests {
 
     #[test]
     fn ann_artifact_wrong_tag_detected() {
-        let err = AnnArtifact::from_bytes(&encode(&model())).unwrap_err();
+        let err = AnnArtifact::from_bytes(&model().to_bytes()).unwrap_err();
         assert_eq!(
             err,
             DecodeError::WrongModel {

@@ -770,10 +770,6 @@ impl Recommender for QuantRecommender<'_> {
         );
         out
     }
-
-    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
-        self.recommend(user, usize::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -963,7 +959,7 @@ mod tests {
             QuantArtifact::from_bytes(&bytes),
             Err(DecodeError::BadChecksum)
         );
-        let bpr_bytes = crate::persist::encode(&m);
+        let bpr_bytes = m.to_bytes();
         assert_eq!(
             QuantArtifact::from_bytes(&bpr_bytes),
             Err(DecodeError::WrongModel {

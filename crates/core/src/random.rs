@@ -77,10 +77,6 @@ impl Recommender for RandomItems {
         out.truncate(k);
         out
     }
-
-    fn rank_all(&self, user: UserIdx) -> Vec<u32> {
-        self.shuffled_unseen(user)
-    }
 }
 
 #[cfg(test)]

@@ -71,7 +71,7 @@ impl PerUserStats {
             }
             hits.push(h);
             test_sizes.push(case.test.len() as u32);
-            // Same miss sentinel as `metrics::accumulate`: one rank past
+            // Same miss sentinel as `metrics::count`: one rank past
             // the end of the list.
             first_ranks.push(first.unwrap_or(ranking.len() + 1) as f64);
         }

@@ -50,78 +50,71 @@ pub struct Kpis {
     pub n_users: usize,
 }
 
-/// Partial KPI sums over a chunk of users; combined across chunks by the
-/// parallel evaluator.
-#[derive(Debug, Clone)]
-struct Accumulator {
-    per_k_hits: Vec<u64>,
-    per_k_users_hit: Vec<u64>,
-    per_k_precision: Vec<f64>,
-    per_k_recall: Vec<f64>,
-    first_rank_sum: f64,
-    n_users: usize,
+/// Exact per-user outcomes over a run of cases, in case order: all the
+/// KPIs need, before any float is summed. Evaluator threads produce these
+/// for their chunks; only [`Counts::into_kpis`] sums floats, once and in
+/// case order, so the KPIs are bit-identical for every thread count.
+#[derive(Debug, Default)]
+struct Counts {
+    /// Per user: the first relevant rank (the miss sentinel when none)
+    /// and the test-set size.
+    users: Vec<(usize, usize)>,
+    /// Per user and `k`, row-major: the hits in the top-k and the list
+    /// length reached, `min(k, ranking length)`.
+    per_k: Vec<(u64, usize)>,
 }
 
-impl Accumulator {
-    fn new(n_ks: usize) -> Self {
-        Self {
-            per_k_hits: vec![0; n_ks],
-            per_k_users_hit: vec![0; n_ks],
-            per_k_precision: vec![0.0; n_ks],
-            per_k_recall: vec![0.0; n_ks],
-            first_rank_sum: 0.0,
-            n_users: 0,
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (a, b) in self.per_k_hits.iter_mut().zip(&other.per_k_hits) {
-            *a += b;
-        }
-        for (a, b) in self.per_k_users_hit.iter_mut().zip(&other.per_k_users_hit) {
-            *a += b;
-        }
-        for (a, b) in self.per_k_precision.iter_mut().zip(&other.per_k_precision) {
-            *a += b;
-        }
-        for (a, b) in self.per_k_recall.iter_mut().zip(&other.per_k_recall) {
-            *a += b;
-        }
-        self.first_rank_sum += other.first_rank_sum;
-        self.n_users += other.n_users;
-    }
-
+impl Counts {
     fn into_kpis(self, ks: &[usize]) -> Vec<Kpis> {
-        let denom = self.n_users.max(1) as f64;
+        let n_users = self.users.len();
+        let denom = n_users.max(1) as f64;
+        let mut first_rank_sum = 0.0;
+        for &(first_rank, _) in &self.users {
+            first_rank_sum += first_rank as f64;
+        }
         ks.iter()
             .enumerate()
-            .map(|(ki, &k)| Kpis {
-                k,
-                urr: self.per_k_users_hit[ki] as f64 / denom,
-                nrr: self.per_k_hits[ki] as f64 / denom,
-                precision: self.per_k_precision[ki] / denom,
-                recall: self.per_k_recall[ki] / denom,
-                first_rank: self.first_rank_sum / denom,
-                n_users: self.n_users,
+            .map(|(ki, &k)| {
+                let (mut hits, mut users_hit) = (0u64, 0u64);
+                let (mut precision, mut recall) = (0.0, 0.0);
+                let per_user = self.per_k.iter().skip(ki).step_by(ks.len());
+                for (&(_, test_len), &(h, reach)) in self.users.iter().zip(per_user) {
+                    hits += h;
+                    users_hit += u64::from(h > 0);
+                    if reach > 0 {
+                        precision += h as f64 / reach as f64;
+                    }
+                    recall += h as f64 / test_len as f64;
+                }
+                Kpis {
+                    k,
+                    urr: users_hit as f64 / denom,
+                    nrr: hits as f64 / denom,
+                    precision: precision / denom,
+                    recall: recall / denom,
+                    first_rank: first_rank_sum / denom,
+                    n_users,
+                }
             })
             .collect()
     }
 }
 
 /// Users per [`Recommender::recommend_batch`] call inside
-/// [`accumulate`]: large enough to amortise per-batch setup (score
+/// [`count`]: large enough to amortise per-batch setup (score
 /// buffers), small enough to keep at most a few full rankings resident.
 const EVAL_BATCH: usize = 64;
 
-/// One ranking pass per user over a chunk of cases, batched through
+/// One ranking pass per user over a chunk of cases, reduced to exact
+/// [`Counts`] and batched through
 /// [`Recommender::recommend_batch_into`] so models that amortise per-call
 /// setup across a batch (BPR's score buffer, Closest Items' similarity
 /// buffer) serve the evaluator at batch speed. The ranking pool and the
 /// per-position hit counters persist across chunks, so per-user scoring
 /// does not touch the allocator once the buffers reach steady state.
-fn accumulate(rec: &dyn Recommender, cases: &[UserCase<'_>], ks: &[usize]) -> Accumulator {
+fn count(rec: &dyn Recommender, cases: &[UserCase<'_>], ks: &[usize]) -> Counts {
     let max_k = *ks.iter().max().expect("non-empty ks");
-    let mut acc = Accumulator::new(ks.len());
+    let mut counts = Counts::default();
 
     let live: Vec<&UserCase<'_>> = cases.iter().filter(|c| !c.test.is_empty()).collect();
     let mut users: Vec<UserIdx> = Vec::with_capacity(EVAL_BATCH);
@@ -135,7 +128,6 @@ fn accumulate(rec: &dyn Recommender, cases: &[UserCase<'_>], ks: &[usize]) -> Ac
         rec.recommend_batch_into(&users, usize::MAX, &mut rankings);
         debug_assert_eq!(rankings.len(), chunk.len(), "recommend_batch contract");
         for (case, ranking) in chunk.iter().zip(&rankings) {
-            acc.n_users += 1;
             // First relevant rank + cumulative hit counts at each position
             // up to max_k.
             let mut first_rank: Option<usize> = None;
@@ -158,23 +150,17 @@ fn accumulate(rec: &dyn Recommender, cases: &[UserCase<'_>], ks: &[usize]) -> Ac
             }
             // A miss is charged one rank past the end of the list —
             // strictly worse than a hit at the last position.
-            acc.first_rank_sum += first_rank.unwrap_or(ranking.len() + 1) as f64;
-
-            for (ki, &k) in ks.iter().enumerate() {
+            let first_rank = first_rank.unwrap_or(ranking.len() + 1);
+            counts.users.push((first_rank, case.test.len()));
+            for &k in ks {
                 let reach = k.min(ranking.len());
-                let h = u64::from(hits_at[reach.min(max_k)]);
-                acc.per_k_hits[ki] += h;
-                if h > 0 {
-                    acc.per_k_users_hit[ki] += 1;
-                }
-                if reach > 0 {
-                    acc.per_k_precision[ki] += h as f64 / reach as f64;
-                }
-                acc.per_k_recall[ki] += h as f64 / case.test.len() as f64;
+                counts
+                    .per_k
+                    .push((u64::from(hits_at[reach.min(max_k)]), reach));
             }
         }
     }
-    acc
+    counts
 }
 
 /// Evaluates a recommender at several `k` values with one ranking pass per
@@ -182,14 +168,13 @@ fn accumulate(rec: &dyn Recommender, cases: &[UserCase<'_>], ks: &[usize]) -> Ac
 #[must_use]
 pub fn evaluate_at(rec: &dyn Recommender, cases: &[UserCase<'_>], ks: &[usize]) -> Vec<Kpis> {
     assert!(!ks.is_empty(), "need at least one k");
-    accumulate(rec, cases, ks).into_kpis(ks)
+    count(rec, cases, ks).into_kpis(ks)
 }
 
 /// Parallel [`evaluate_at`]: users are split across `threads` chunks and
-/// each chunk is evaluated on its own thread. URR and NRR are bit-identical
-/// to the serial version (integer sums); precision/recall/first-rank agree
-/// up to floating-point summation order. Deterministic: chunking and the
-/// merge order are fixed.
+/// each chunk is ranked and reduced to exact per-user counts on its own
+/// thread. The float sums then run once, in case order, so every KPI is
+/// bit-identical to the serial version for every thread count.
 ///
 /// # Panics
 ///
@@ -207,19 +192,20 @@ pub fn evaluate_at_parallel(
         return evaluate_at(rec, cases, ks);
     }
     let chunk = cases.len().div_ceil(threads);
-    let partials: Vec<Accumulator> = std::thread::scope(|scope| {
+    let partials: Vec<Counts> = std::thread::scope(|scope| {
         let handles: Vec<_> = cases
             .chunks(chunk)
-            .map(|slice| scope.spawn(move || accumulate(rec, slice, ks)))
+            .map(|slice| scope.spawn(move || count(rec, slice, ks)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("evaluator thread panicked"))
             .collect()
     });
-    let mut total = Accumulator::new(ks.len());
-    for p in &partials {
-        total.merge(p);
+    let mut total = Counts::default();
+    for p in partials {
+        total.users.extend(p.users);
+        total.per_k.extend(p.per_k);
     }
     total.into_kpis(ks)
 }
@@ -456,8 +442,15 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let r = rec();
+        // Test sets of one to seven books: recall divides by 3, 6 and 7
+        // and precision by 3 and 7, so the float sums are inexact and
+        // would change with any other summation order.
         let tests: Vec<Vec<u32>> = (0..40)
-            .map(|i| vec![1 + (i % 5) as u32, 6 + (i % 3) as u32])
+            .map(|i: u32| {
+                let mut t: Vec<u32> = (0..1 + i % 7).map(|j| (i * 3 + j * 7) % 10).collect();
+                t.sort_unstable();
+                t
+            })
             .collect();
         let cases: Vec<UserCase<'_>> = tests
             .iter()
@@ -468,14 +461,22 @@ mod tests {
             .collect();
         let ks = [1usize, 3, 7];
         let serial = evaluate_at(&r, &cases, &ks);
-        for threads in [1usize, 2, 4, 7] {
+        for threads in [1usize, 2, 3, 4, 7] {
             let parallel = evaluate_at_parallel(&r, &cases, &ks, threads);
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.urr, p.urr, "threads {threads}");
                 assert_eq!(s.nrr, p.nrr, "threads {threads}");
-                assert!((s.precision - p.precision).abs() < 1e-12);
-                assert!((s.recall - p.recall).abs() < 1e-12);
-                assert!((s.first_rank - p.first_rank).abs() < 1e-9);
+                assert_eq!(
+                    s.precision.to_bits(),
+                    p.precision.to_bits(),
+                    "threads {threads}"
+                );
+                assert_eq!(s.recall.to_bits(), p.recall.to_bits(), "threads {threads}");
+                assert_eq!(
+                    s.first_rank.to_bits(),
+                    p.first_rank.to_bits(),
+                    "threads {threads}"
+                );
                 assert_eq!(s.n_users, p.n_users);
             }
         }

@@ -3,29 +3,28 @@
 //! ```text
 //! reading-machine generate --preset medium --seed 42 --out corpus/
 //! reading-machine stats    --corpus corpus/
-//! reading-machine train    --corpus corpus/ --model model.bpr [--factors 20] [--epochs 15]
-//! reading-machine train    --out artifacts/ [--corpus corpus/] [--epoch 1]
-//! reading-machine recommend --corpus corpus/ --model model.bpr --user 17 [--k 20]
+//! reading-machine train    --out artifacts/ [--corpus corpus/] [--epoch 1] [--factors 20] [--epochs 15]
 //! reading-machine explain  --artifacts artifacts/ --user 17 [--corpus corpus/] [--k 10]
 //! reading-machine evaluate [--corpus corpus/] [--k 20]
 //! reading-machine serve-bench --artifacts artifacts/ [--corpus corpus/] [--requests 2000]
 //! reading-machine metrics-dump --artifacts artifacts/ [--requests 1000]
 //! ```
 //!
-//! `generate` writes the merged synthetic corpus as TSV; `train` persists a
-//! BPR model with the binary codec (`--model FILE`) or the full serving
-//! artifact set (`--out DIR`: BPR + Most Read counts + catalogue
-//! embeddings + manifest); `recommend` serves top-k titles for a user;
-//! `explain` serves one user through the candidate pipeline and prints the
-//! provenance-backed reason behind every title ("because you borrowed X");
-//! `evaluate` runs the paper's KPI comparison on a fresh split and prints
-//! the per-stage pipeline timing report; `serve-bench` loads an artifact
-//! directory into the serving engine and reports single vs batched
-//! throughput with latency quantiles; `metrics-dump` replays a request
-//! stream and prints the engine metrics in Prometheus text exposition
-//! format. `train` and `serve-bench` accept `--trace FILE`, draining the
-//! structured span/event log as JSONL after the run. Built with
-//! `--features testing`, `serve-bench` also accepts `--chaos PLAN`
+//! `generate` writes the merged synthetic corpus as TSV; `train` fits the
+//! serving suite and publishes it as an artifact registry (`--out DIR`:
+//! BPR + Most Read counts + catalogue embeddings + manifest, plus the ANN
+//! indexes and, with `--quant`, the quantized rows) — the one handoff from
+//! training to serving; `explain` loads that registry into the serving
+//! engine, serves one user through the candidate pipeline, and prints the
+//! top-k titles with the provenance-backed reason behind each ("because
+//! you borrowed X"); `evaluate` runs the paper's KPI comparison on a fresh
+//! split and prints the per-stage pipeline timing report; `serve-bench`
+//! loads an artifact directory into the serving engine and reports single
+//! vs batched throughput with latency quantiles; `metrics-dump` replays a
+//! request stream and prints the engine metrics in Prometheus text
+//! exposition format. `train` and `serve-bench` accept `--trace FILE`,
+//! draining the structured span/event log as JSONL after the run. Built
+//! with `--features testing`, `serve-bench` also accepts `--chaos PLAN`
 //! (`bpr-panic|bpr-error|bpr-latency|storm`), which replays the request
 //! stream under injected faults and reports availability, per-slot fault
 //! counters, and circuit-breaker activity. `serve-bench --loadgen MODE`
@@ -35,9 +34,9 @@
 //! drive a real artifact directory on the wall clock.
 //!
 //! Commands that need a corpus accept either `--corpus DIR` or regenerate
-//! it deterministically from `--preset`/`--seed` — so `train --out` and
-//! `serve-bench` agree on the training interactions without shipping them
-//! in the registry.
+//! it deterministically from `--preset`/`--seed` — so `train`, `explain`
+//! and `serve-bench` agree on the training interactions without shipping
+//! them in the registry.
 
 use reading_machine::dataset::io::{load_corpus, save_corpus};
 use reading_machine::dataset::stats::{genre_shares, summarize};
@@ -67,7 +66,6 @@ fn main() -> ExitCode {
         "generate" => cmd_generate(&args[1..]),
         "stats" => cmd_stats(&args[1..]),
         "train" => cmd_train(&args[1..]),
-        "recommend" => cmd_recommend(&args[1..]),
         "explain" => cmd_explain(&args[1..]),
         "evaluate" => cmd_evaluate(&args[1..]),
         "serve-bench" => cmd_serve_bench(&args[1..]),
@@ -91,9 +89,7 @@ fn print_usage() {
     eprintln!(
         "usage:\n  reading-machine generate  --out DIR [--preset paper|medium|tiny] [--seed N]\n  \
          reading-machine stats     --corpus DIR\n  \
-         reading-machine train     --corpus DIR --model FILE [--factors N] [--epochs N] [--lr F] [--trace FILE]\n  \
-         reading-machine train     --out DIR [--corpus DIR] [--epoch N] [--factors N] [--epochs N] [--quant i8|f16|off] [--trace FILE]\n  \
-         reading-machine recommend --corpus DIR --model FILE --user N [--k N]\n  \
+         reading-machine train     --out DIR [--corpus DIR] [--epoch N] [--factors N] [--epochs N] [--lr F] [--ann off] [--quant i8|f16|off] [--trace FILE]\n  \
          reading-machine explain   --artifacts DIR --user N [--corpus DIR] [--k N]\n  \
          reading-machine evaluate  [--corpus DIR] [--k N] [--seed N]\n  \
          reading-machine serve-bench --artifacts DIR [--corpus DIR] [--k N] [--requests N] [--trace FILE] [--chaos PLAN]\n  \
@@ -237,50 +233,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `train --out DIR`: fit the full serving suite on every reading
+/// (deployment mode) and publish it as an artifact registry.
 fn cmd_train(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    if let Some(out) = flags.get("out") {
-        return cmd_train_artifacts(&flags, PathBuf::from(out));
-    }
-    let corpus = load(&flags)?;
-    let model_path = PathBuf::from(flags.required("model")?);
-    let config = BprConfig {
-        factors: flags.parse_num("factors", 20)?,
-        epochs: flags.parse_num("epochs", 15)?,
-        learning_rate: flags.parse_num("lr", 0.2)?,
-        seed: flags.parse_num("seed", 42)?,
-        ..BprConfig::default()
-    };
-    // Train on ALL readings (deployment mode — no held-out test).
-    let tracer = trace_sink(&flags);
-    let interactions = Interactions::from_corpus(&corpus);
-    let mut bpr = Bpr::new(config);
-    let t0 = std::time::Instant::now();
-    let span = tracer.span("fit_bpr");
-    bpr.fit(&interactions);
-    span.finish(|f| {
-        f.push("interactions", interactions.nnz());
-    });
-    let span = tracer.span("persist");
-    let bytes = reading_machine::core::persist::encode(bpr.model().expect("fitted"));
-    std::fs::write(&model_path, &bytes).map_err(|e| e.to_string())?;
-    span.finish(|f| {
-        f.push("bytes", bytes.len());
-    });
-    println!(
-        "trained BPR on {} interactions in {:.1?}; wrote {} bytes to {}",
-        interactions.nnz(),
-        t0.elapsed(),
-        bytes.len(),
-        model_path.display()
-    );
-    flush_trace(&flags, &tracer)
-}
-
-/// `train --out DIR`: fit the full serving suite on every reading
-/// (deployment mode) and persist it as an artifact registry.
-fn cmd_train_artifacts(flags: &Flags, out: PathBuf) -> Result<(), String> {
-    let corpus = corpus_of(flags)?;
+    let out = PathBuf::from(flags.required("out")?);
+    let corpus = corpus_of(&flags)?;
     let train = Interactions::from_corpus(&corpus);
     let config = BprConfig {
         factors: flags.parse_num("factors", 20)?,
@@ -290,7 +248,7 @@ fn cmd_train_artifacts(flags: &Flags, out: PathBuf) -> Result<(), String> {
         ..BprConfig::default()
     };
     let fields = SummaryFields::BEST;
-    let tracer = trace_sink(flags);
+    let tracer = trace_sink(&flags);
     let t0 = std::time::Instant::now();
     let span = tracer.span("fit_bpr");
     let mut bpr = Bpr::new(config);
@@ -378,7 +336,7 @@ fn cmd_train_artifacts(flags: &Flags, out: PathBuf) -> Result<(), String> {
         manifest.epoch,
         out.display()
     );
-    flush_trace(flags, &tracer)
+    flush_trace(&flags, &tracer)
 }
 
 /// `serve-bench`: load an artifact registry and measure single-call vs
@@ -741,39 +699,6 @@ fn cmd_serve_chaos(flags: &Flags, plan_name: &str) -> Result<(), String> {
             .map(|s| format!("{}={}", s.label(), states[s.index()].label()))
             .collect();
         println!("breaker states: {}", rendered.join("  "));
-    }
-    Ok(())
-}
-
-fn cmd_recommend(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let corpus = load(&flags)?;
-    let model_path = PathBuf::from(flags.required("model")?);
-    let user: u32 = flags
-        .required("user")?
-        .parse()
-        .map_err(|_| "bad --user".to_owned())?;
-    let k: usize = flags.parse_num("k", 20)?;
-    if user as usize >= corpus.n_users() {
-        return Err(format!(
-            "user {user} out of range (corpus has {})",
-            corpus.n_users()
-        ));
-    }
-    let bytes = std::fs::read(&model_path).map_err(|e| e.to_string())?;
-    let model = reading_machine::core::persist::decode(&bytes).map_err(|e| e.to_string())?;
-    let interactions = Interactions::from_corpus(&corpus);
-    let mut bpr = Bpr::new(BprConfig::default());
-    bpr.install(model, &interactions);
-    println!("top-{k} for user {user}:");
-    for (rank, b) in bpr.recommend(UserIdx(user), k).into_iter().enumerate() {
-        let book = &corpus.books[b as usize];
-        println!(
-            "  {:>2}. {} — {}",
-            rank + 1,
-            book.title,
-            book.authors.join(", ")
-        );
     }
     Ok(())
 }

@@ -59,7 +59,7 @@ use crate::pipeline::{
     CfNeighboursSource, ContentSimilarSource, FallbackSource, FilterCtx, MostReadSource,
     PipelineConfig, SourceId,
 };
-use crate::registry::{ArtifactRegistry, LoadedArtifacts};
+use crate::registry::{ArtifactRegistry, LoadedArtifacts, SlotError, SlotResult};
 use rm_core::bpr::{Bpr, BprConfig};
 use rm_core::closest::ClosestItems;
 use rm_core::most_read::MostReadItems;
@@ -68,6 +68,7 @@ use rm_core::random::RandomItems;
 use rm_core::Recommender;
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
+use rm_embed::AnnArtifact;
 use rm_util::clock::{Backoff, Clock, Deadline, MonotonicClock};
 use rm_util::trace::Tracer;
 use rm_util::{RecError, TopK};
@@ -385,6 +386,53 @@ pub struct QueuedOutcome {
     pub sojourn: Duration,
 }
 
+/// The one admission rule for every artifact the registry publishes, the
+/// three model slots and the four optional halves alike: an artifact is
+/// admitted when it read cleanly, the model slot it is checked against is
+/// installed (`want` is that slot's shape, or its name when it degraded),
+/// and its shape equals `want`. Anything else is dropped and `refuse` gets
+/// the reason: the read error, the degraded slot, or a `dimension
+/// mismatch` that names both shapes.
+fn admit<T, const N: usize>(
+    read: Result<T, String>,
+    shape: impl FnOnce(&T) -> [usize; N],
+    want: Result<[usize; N], &str>,
+    refuse: impl FnOnce(String),
+) -> Option<T> {
+    let reason = match (read, want) {
+        (Err(e), _) => e,
+        (Ok(_), Err(slot)) => format!("{slot} slot degraded"),
+        (Ok(artifact), Ok(want)) => {
+            let got = shape(&artifact);
+            if got == want {
+                return Some(artifact);
+            }
+            let dims = |d: [usize; N]| d.map(|n| n.to_string()).join("x");
+            format!(
+                "dimension mismatch: artifact {}, serving {}",
+                dims(got),
+                dims(want)
+            )
+        }
+    };
+    refuse(reason);
+    None
+}
+
+/// An optional artifact (ANN, quant) as read: `None` when it is missing,
+/// the normal state of a registry trained without it, or broken, which
+/// leaves one `<what> artifact dropped: <error>` note.
+fn published<T>(read: SlotResult<T>, what: &str, notes: &mut Vec<String>) -> Option<T> {
+    match read {
+        Ok(artifact) => Some(artifact),
+        Err(SlotError::Missing) => None,
+        Err(e) => {
+            notes.push(format!("{what} artifact dropped: {e}"));
+            None
+        }
+    }
+}
+
 /// What one brownout level leaves of the pipeline (DESIGN.md §16). The
 /// engine builds one plan per [`DegradationLevel`] at load, so a chunk
 /// looks its plan up instead of assembling slot lists per request.
@@ -463,10 +511,11 @@ pub struct ServingEngine {
     most_read: Option<MostReadItems>,
     random: RandomItems,
     /// Validated IVF indexes accelerating the pipeline's content-similar
-    /// and CF-neighbour sources. Not a [`ModelSlot`]: losing ANN loses
-    /// only the acceleration — the exact scans keep serving — so it
-    /// reports through [`ServingEngine::ann_notes`], not `degraded`.
-    ann: Option<rm_embed::AnnArtifact>,
+    /// and CF-neighbour sources (a dropped half is `None`). Not a
+    /// [`ModelSlot`]: losing ANN loses only the acceleration — the exact
+    /// scans keep serving — so it reports through
+    /// [`ServingEngine::ann_notes`], not `degraded`.
+    ann: AnnArtifact,
     /// Why each absent ANN half is absent (empty when fully active or
     /// the registry simply has no ANN artifact).
     ann_notes: Vec<String>,
@@ -535,7 +584,10 @@ impl ServingEngine {
             closest: None,
             most_read: None,
             random,
-            ann: None,
+            ann: AnnArtifact {
+                content: None,
+                cf: None,
+            },
             ann_notes: Vec::new(),
             quant: None,
             quant_cf_active: false,
@@ -654,156 +706,125 @@ impl ServingEngine {
             }
         }
 
-        self.bpr = match loaded.bpr {
-            Ok(model)
-                if model.user_factors.rows() == self.train.n_users()
-                    && model.item_factors.rows() == self.train.n_books() =>
-            {
-                let mut bpr = Bpr::new(BprConfig::default());
-                bpr.install(model, &self.train);
-                Some(bpr)
-            }
-            Ok(model) => {
-                self.degrade(
-                    ModelSlot::Bpr,
-                    format!(
-                        "dimension mismatch: model {}x{}, train {}x{}",
-                        model.user_factors.rows(),
-                        model.item_factors.rows(),
-                        self.train.n_users(),
-                        self.train.n_books()
-                    ),
-                );
-                None
-            }
-            Err(e) => {
-                self.degrade(ModelSlot::Bpr, e.to_string());
-                None
-            }
-        };
-
-        self.closest = match loaded.embeddings {
-            Ok(store) if store.len() == self.train.n_books() => {
-                let mut ci = ClosestItems::from_store(store, loaded.manifest.fields);
-                ci.fit(&self.train);
-                Some(ci)
-            }
-            Ok(store) => {
-                self.degrade(
-                    ModelSlot::ClosestItems,
-                    format!(
-                        "dimension mismatch: {} embeddings, {} books",
-                        store.len(),
-                        self.train.n_books()
-                    ),
-                );
-                None
-            }
-            Err(e) => {
-                self.degrade(ModelSlot::ClosestItems, e.to_string());
-                None
-            }
-        };
-
-        self.most_read = match loaded.most_read {
-            Ok(mut mr) if mr.counts().len() == self.train.n_books() => {
-                mr.install(&self.train);
-                Some(mr)
-            }
-            Ok(mr) => {
-                self.degrade(
-                    ModelSlot::MostRead,
-                    format!(
-                        "dimension mismatch: {} counts, {} books",
-                        mr.counts().len(),
-                        self.train.n_books()
-                    ),
-                );
-                None
-            }
-            Err(e) => {
-                self.degrade(ModelSlot::MostRead, e.to_string());
-                None
-            }
-        };
-
-        self.install_ann(loaded.ann);
-        self.install_quant(loaded.quant);
+        let (users, books) = (self.train.n_users(), self.train.n_books());
+        let degraded = &mut self.degraded;
+        let bpr = admit(
+            loaded.bpr.map_err(|e| e.to_string()),
+            |m| [m.user_factors.rows(), m.item_factors.rows()],
+            Ok([users, books]),
+            |reason| degraded.push((ModelSlot::Bpr, reason)),
+        );
+        let store = admit(
+            loaded.embeddings.map_err(|e| e.to_string()),
+            |store| [store.len()],
+            Ok([books]),
+            |reason| degraded.push((ModelSlot::ClosestItems, reason)),
+        );
+        let most_read = admit(
+            loaded.most_read.map_err(|e| e.to_string()),
+            |mr| [mr.counts().len()],
+            Ok([books]),
+            |reason| degraded.push((ModelSlot::MostRead, reason)),
+        );
+        self.bpr = bpr.map(|model| {
+            let mut bpr = Bpr::new(BprConfig::default());
+            bpr.install(model, &self.train);
+            bpr
+        });
+        self.closest = store.map(|store| {
+            let mut ci = ClosestItems::from_store(store, loaded.manifest.fields);
+            ci.fit(&self.train);
+            ci
+        });
+        self.most_read = most_read.map(|mut mr| {
+            mr.install(&self.train);
+            mr
+        });
+        self.admit_halves(loaded.ann, loaded.quant);
     }
 
-    /// Validates the ANN artifact against the *installed* models (so a
-    /// degraded model slot automatically disables its accelerated
-    /// source) and keeps only the halves whose dimensions line up.
-    /// Failure here never degrades a slot — the exact scans serve —
-    /// it only records a note for the operator.
-    fn install_ann(&mut self, ann: crate::registry::SlotResult<rm_embed::AnnArtifact>) {
-        self.ann_notes.clear();
-        self.ann = None;
-        let mut art = match ann {
-            Ok(art) => art,
-            // No artifact is the normal state for a registry trained
-            // without ANN; only a present-but-broken file is noteworthy.
-            Err(crate::registry::SlotError::Missing) => return,
-            Err(e) => {
-                self.ann_notes.push(format!("ann artifact dropped: {e}"));
-                return;
-            }
-        };
-        if let Some(idx) = &art.content {
-            let ok = self.closest.as_ref().is_some_and(|c| {
-                idx.n_items() as usize == c.store().len() && idx.dim() == c.store().dim()
-            });
-            if !ok {
-                self.ann_notes.push(match &self.closest {
-                    Some(c) => format!(
-                        "ann content index dropped: index {}x{} vs store {}x{}",
-                        idx.n_items(),
-                        idx.dim(),
-                        c.store().len(),
-                        c.store().dim()
-                    ),
-                    None => "ann content index dropped: closest-items slot degraded".into(),
-                });
-                art.content = None;
-            }
-        }
-        if let Some(idx) = &art.cf {
-            let ok = self.bpr.as_ref().and_then(Bpr::model).is_some_and(|m| {
-                idx.n_items() as usize == m.item_factors.rows()
-                    && idx.dim() == m.item_factors.cols() + 1
-            });
-            if !ok {
-                self.ann_notes
-                    .push(match self.bpr.as_ref().and_then(Bpr::model) {
-                        Some(m) => format!(
-                            "ann cf index dropped: index {}x{} vs factors {}x{}+1",
-                            idx.n_items(),
-                            idx.dim(),
-                            m.item_factors.rows(),
-                            m.item_factors.cols()
-                        ),
-                        None => "ann cf index dropped: bpr slot degraded".into(),
-                    });
-                art.cf = None;
-            }
-        }
-        if art.content.is_some() || art.cf.is_some() {
-            self.ann = Some(art);
-        }
+    /// Admits the four optional halves the ANN and quant artifacts carry
+    /// — the ANN content and cf indexes, the quantized cf sections and
+    /// the quantized embeddings — by [`admit`]'s rule, against the
+    /// models just installed, so a degraded model slot drops the halves
+    /// that accelerate it. A missing artifact or half is the normal state
+    /// of a registry trained without it and leaves no note; a broken
+    /// artifact leaves one `… artifact dropped: <error>` note and a
+    /// dropped half one note naming it. No half ever degrades a slot: the
+    /// exact f32 scans serve identically without it.
+    fn admit_halves(&mut self, ann: SlotResult<AnnArtifact>, quant: SlotResult<QuantArtifact>) {
+        let (mut ann_notes, mut quant_notes) = (Vec::new(), Vec::new());
+        let ann = published(ann, "ann", &mut ann_notes);
+        let quant = published(quant, "quant", &mut quant_notes);
+        let factors = self.bpr.as_ref().and_then(Bpr::model).ok_or("bpr");
+        let store = self
+            .closest
+            .as_ref()
+            .map(|c| [c.store().len(), c.store().dim()])
+            .ok_or("closest-items");
+        let (content, cf) = ann.map_or((None, None), |a| (a.content, a.cf));
+        let content = content.and_then(|index| {
+            admit(
+                Ok(index),
+                |i| [i.n_items() as usize, i.dim()],
+                store,
+                |reason| ann_notes.push(format!("ann content index dropped: {reason}")),
+            )
+        });
+        let cf = cf.and_then(|index| {
+            admit(
+                Ok(index),
+                |i| [i.n_items() as usize, i.dim()],
+                // The MIPS augmentation adds one dimension.
+                factors.map(|m| [m.item_factors.rows(), m.item_factors.cols() + 1]),
+                |reason| ann_notes.push(format!("ann cf index dropped: {reason}")),
+            )
+        });
+        let sections = quant
+            .as_ref()
+            .and_then(|q| q.user_factors().zip(q.item_factors()));
+        let cf_ok = sections.and_then(|pair| {
+            admit(
+                Ok(pair),
+                |(u, i)| [u.rows(), u.cols(), i.rows(), i.cols()],
+                factors.map(|m| {
+                    let (u, i) = (&m.user_factors, &m.item_factors);
+                    [u.rows(), u.cols(), i.rows(), i.cols()]
+                }),
+                |reason| quant_notes.push(format!("quant cf sections dropped: {reason}")),
+            )
+        });
+        let embeddings = quant.as_ref().and_then(QuantArtifact::embeddings);
+        let content_ok = embeddings.and_then(|rows| {
+            admit(
+                Ok(rows),
+                |e| [e.rows(), e.cols()],
+                store,
+                |reason| quant_notes.push(format!("quant embeddings section dropped: {reason}")),
+            )
+        });
+        // The quant sections share one zero-copy buffer: a dropped half
+        // is a cleared flag, which gates every read, not a removed section.
+        self.quant_cf_active = cf_ok.is_some();
+        self.quant_content_active = content_ok.is_some();
+        self.quant = quant.filter(|_| self.quant_cf_active || self.quant_content_active);
+        self.ann = AnnArtifact { content, cf };
+        self.ann_notes = ann_notes;
+        self.quant_notes = quant_notes;
     }
 
     /// True when the content-similar source retrieves through the IVF
     /// index (a valid ANN artifact half is installed).
     #[must_use]
     pub fn ann_content_active(&self) -> bool {
-        self.ann.as_ref().is_some_and(|a| a.content.is_some())
+        self.ann.content.is_some()
     }
 
     /// True when the CF-neighbours source retrieves through the MIPS
     /// IVF index.
     #[must_use]
     pub fn ann_cf_active(&self) -> bool {
-        self.ann.as_ref().is_some_and(|a| a.cf.is_some())
+        self.ann.cf.is_some()
     }
 
     /// Why ANN halves (or the whole artifact) were dropped at install
@@ -811,92 +832,6 @@ impl ServingEngine {
     #[must_use]
     pub fn ann_notes(&self) -> &[String] {
         &self.ann_notes
-    }
-
-    /// Validates the quantized artifact against the *installed* models
-    /// (so a degraded model slot automatically disables its quantized
-    /// scoring path) and records which halves are usable. The sections
-    /// share one zero-copy buffer, so nothing is dropped from the
-    /// artifact itself — the active flags gate every read. Failure here
-    /// never degrades a slot: exact f32 scoring serves identically, it
-    /// only costs the memory saving.
-    fn install_quant(&mut self, quant: crate::registry::SlotResult<QuantArtifact>) {
-        self.quant_notes.clear();
-        self.quant = None;
-        self.quant_cf_active = false;
-        self.quant_content_active = false;
-        let art = match quant {
-            Ok(art) => art,
-            // No artifact is the normal state for a registry trained
-            // with --quant off; only a present-but-broken file is
-            // noteworthy.
-            Err(crate::registry::SlotError::Missing) => return,
-            Err(e) => {
-                self.quant_notes
-                    .push(format!("quant artifact dropped: {e}"));
-                return;
-            }
-        };
-        let cf_ok = match (
-            art.user_factors(),
-            art.item_factors(),
-            self.bpr.as_ref().and_then(Bpr::model),
-        ) {
-            (Some(qu), Some(qi), Some(m)) => {
-                let ok = qu.rows() == m.user_factors.rows()
-                    && qu.cols() == m.user_factors.cols()
-                    && qi.rows() == m.item_factors.rows()
-                    && qi.cols() == m.item_factors.cols();
-                if !ok {
-                    self.quant_notes.push(format!(
-                        "quant cf sections dropped: quant {}x{}/{}x{} vs factors {}x{}/{}x{}",
-                        qu.rows(),
-                        qu.cols(),
-                        qi.rows(),
-                        qi.cols(),
-                        m.user_factors.rows(),
-                        m.user_factors.cols(),
-                        m.item_factors.rows(),
-                        m.item_factors.cols()
-                    ));
-                }
-                ok
-            }
-            (Some(_), Some(_), None) => {
-                self.quant_notes
-                    .push("quant cf sections dropped: bpr slot degraded".into());
-                false
-            }
-            // A factors-free artifact (quantize_parts) simply has no CF
-            // half to activate.
-            _ => false,
-        };
-        let content_ok = match (art.embeddings(), self.closest.as_ref()) {
-            (Some(qe), Some(c)) => {
-                let ok = qe.rows() == c.store().len() && qe.cols() == c.store().dim();
-                if !ok {
-                    self.quant_notes.push(format!(
-                        "quant embeddings section dropped: quant {}x{} vs store {}x{}",
-                        qe.rows(),
-                        qe.cols(),
-                        c.store().len(),
-                        c.store().dim()
-                    ));
-                }
-                ok
-            }
-            (Some(_), None) => {
-                self.quant_notes
-                    .push("quant embeddings section dropped: closest-items slot degraded".into());
-                false
-            }
-            _ => false,
-        };
-        if cf_ok || content_ok {
-            self.quant = Some(art);
-            self.quant_cf_active = cf_ok;
-            self.quant_content_active = content_ok;
-        }
     }
 
     /// True when CF scoring (exact source, IVF re-score, and the rank
@@ -936,10 +871,6 @@ impl ServingEngine {
             return None;
         }
         self.quant.as_ref()?.embeddings()
-    }
-
-    fn degrade(&mut self, slot: ModelSlot, reason: String) {
-        self.degraded.push((slot, reason));
     }
 
     /// The slots that failed to load, with the reason — the health report
@@ -1048,7 +979,7 @@ impl ServingEngine {
     /// model would.
     fn slot_source(&self, slot: ModelSlot, exact: bool) -> Option<Box<dyn CandidateSource + '_>> {
         let nprobe = self.config.pipeline.ann_nprobe;
-        let ann = self.ann.as_ref().filter(|_| !exact);
+        let ann = Some(&self.ann).filter(|_| !exact);
         Some(match slot {
             ModelSlot::Bpr => {
                 let mut source = CfNeighboursSource::new(self.bpr.as_ref()?);

@@ -204,6 +204,63 @@ fn all_artifacts_missing_serves_random() {
     let _ = std::fs::remove_dir_all(fx.registry.dir());
 }
 
+/// A checksum-valid artifact of the wrong shape degrades its own slot
+/// alone, with a `dimension mismatch` reason, and the rest of the chain
+/// still answers: BPR factors with one extra user row, an embedding
+/// store one book short, Most Read counts one book short.
+#[test]
+fn wrong_shape_artifact_degrades_only_its_slot() {
+    use rm_core::persist::PersistModel;
+    use rm_serve::registry::EMBEDDINGS_FILE;
+
+    let fx = train_fixture("wrong-shape");
+    let read = |file: &str| std::fs::read(fx.registry.path_of(file)).expect("read artifact");
+    let bpr = BprModel::from_bytes(&read(BPR_FILE)).expect("bpr decodes");
+    let store = EmbeddingStore::from_bytes(&read(EMBEDDINGS_FILE)).expect("store decodes");
+    let most_read = MostReadItems::from_bytes(&read(MOST_READ_FILE)).expect("counts decode");
+
+    let (users, factors) = (bpr.user_factors.rows(), bpr.user_factors.cols());
+    let mut rows = bpr.user_factors.as_slice().to_vec();
+    rows.extend(std::iter::repeat_n(0.1, factors));
+    let extra_user = BprModel {
+        user_factors: DenseMatrix::from_vec(users + 1, factors, rows),
+        item_factors: bpr.item_factors.clone(),
+    };
+    let books = store.len() - 1;
+    let embeddings = (0..books)
+        .flat_map(|i| store.embedding(i).to_vec())
+        .collect();
+    let short_store =
+        EmbeddingStore::from_unit_matrix(DenseMatrix::from_vec(books, store.dim(), embeddings));
+    let short_counts = MostReadItems::from_counts(most_read.counts()[..books].to_vec());
+
+    let user = user_with_history(&fx.train);
+    for (slot, file, bytes) in [
+        (ModelSlot::Bpr, BPR_FILE, extra_user.to_bytes()),
+        (
+            ModelSlot::ClosestItems,
+            EMBEDDINGS_FILE,
+            short_store.to_bytes(),
+        ),
+        (ModelSlot::MostRead, MOST_READ_FILE, short_counts.to_bytes()),
+    ] {
+        let pristine = read(file);
+        std::fs::write(fx.registry.path_of(file), bytes).expect("write wrong-shape artifact");
+        let engine = engine_of(&fx, EngineConfig::default());
+        let degraded = engine.degraded();
+        assert_eq!(degraded.len(), 1, "{file}: {degraded:?}");
+        assert_eq!(degraded[0].0, slot, "{file}");
+        assert!(
+            degraded[0].1.contains("dimension mismatch"),
+            "{file}: {}",
+            degraded[0].1
+        );
+        assert_eq!(engine.recommend(user, 5).len(), 5, "{file}");
+        std::fs::write(fx.registry.path_of(file), pristine).expect("restore artifact");
+    }
+    let _ = std::fs::remove_dir_all(fx.registry.dir());
+}
+
 #[test]
 fn cache_hits_are_byte_identical_to_cold_calls() {
     let fx = train_fixture("cache");

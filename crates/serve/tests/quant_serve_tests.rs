@@ -272,6 +272,40 @@ fn mismatched_quant_artifact_drops_with_notes() {
     let _ = std::fs::remove_dir_all(fx.registry.dir());
 }
 
+/// A registry with ANN and i8 artifacts whose BPR file is corrupt: BPR
+/// degrades, the two halves that accelerate it (the ANN cf index and the
+/// quantized cf sections) are dropped with one note each, the content
+/// halves stay active, and the engine still answers.
+#[test]
+fn corrupt_bpr_drops_only_its_ann_and_quant_halves() {
+    let fx = train_fixture_with("corrupt-bpr-halves", Some(QuantMode::I8), true);
+    let path = fx.registry.path_of(rm_serve::registry::BPR_FILE);
+    let mut bytes = std::fs::read(&path).expect("bpr artifact exists");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&path, bytes).expect("corrupt bpr artifact");
+
+    let engine =
+        ServingEngine::load(&fx.registry, &fx.train, EngineConfig::default()).expect("loads");
+    let degraded: Vec<ModelSlot> = engine.degraded().iter().map(|(slot, _)| *slot).collect();
+    assert_eq!(degraded, [ModelSlot::Bpr], "{:?}", engine.degraded());
+    assert!(!engine.ann_cf_active());
+    assert!(!engine.quant_cf_active());
+    assert_eq!(
+        engine.ann_notes(),
+        ["ann cf index dropped: bpr slot degraded"]
+    );
+    assert_eq!(
+        engine.quant_notes(),
+        ["quant cf sections dropped: bpr slot degraded"]
+    );
+    assert!(engine.ann_content_active(), "{:?}", engine.ann_notes());
+    assert!(engine.quant_content_active(), "{:?}", engine.quant_notes());
+    let user = users_with_history(&fx.train, 1)[0];
+    assert_eq!(engine.recommend(user, 5).len(), 5);
+    let _ = std::fs::remove_dir_all(fx.registry.dir());
+}
+
 /// Reload re-validates the quant artifact: scrubbing it from the
 /// registry deactivates quantized scoring on the next epoch.
 #[test]

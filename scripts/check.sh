@@ -88,6 +88,22 @@ cargo test -q -p rm-serve merge
 echo "==> kernel benches (smoke mode: exercises every kernel, timings noisy)"
 cargo run --release -q -p rm-bench --bin kernel-bench -- --smoke --out /tmp/kernel-bench-smoke.json
 
+echo "==> deploy workflow smoke (train --out publishes a registry, explain serves from it)"
+# The one route from training to a reader: a Tiny-preset registry trained
+# into a temp dir must load into the serving engine and answer user 0.
+DEPLOY_DIR=$(mktemp -d)
+trap 'rm -rf "$DEPLOY_DIR"' EXIT
+cargo run --release -q -p reading-machine -- train --preset tiny --out "$DEPLOY_DIR/artifacts"
+cargo run --release -q -p reading-machine -- \
+    explain --artifacts "$DEPLOY_DIR/artifacts" --preset tiny --user 0 --k 5 \
+    | tee "$DEPLOY_DIR/explain.txt"
+if ! grep -q "^top-5 for user 0" "$DEPLOY_DIR/explain.txt"; then
+    echo "explain printed no top-5 header for user 0" >&2
+    exit 1
+fi
+rm -rf "$DEPLOY_DIR"
+trap - EXIT
+
 echo "==> overload SLO gate (deterministic loadgen smoke vs committed BENCH_serve.json)"
 # A 10x open-loop burst on simulated time: the report must match the
 # committed file byte-for-byte and meet its SLO (availability >= 0.999,

@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full generate → prepare → split → train →
 //! recommend → evaluate flow, with structural invariants at each joint.
 
+use reading_machine::core::bpr::BprModel;
+use reading_machine::core::persist::PersistModel;
 use reading_machine::dataset::corpus::Source as CorpusSource;
 use reading_machine::prelude::*;
 
@@ -135,8 +137,8 @@ fn model_persistence_round_trips_through_bytes() {
         ..BprConfig::default()
     });
     h.fit_timed(&mut bpr);
-    let bytes = reading_machine::core::persist::encode(bpr.model().unwrap());
-    let model = reading_machine::core::persist::decode(&bytes).unwrap();
+    let bytes = bpr.model().unwrap().to_bytes();
+    let model = BprModel::from_bytes(&bytes).unwrap();
     let mut restored = Bpr::new(bpr.config().clone());
     restored.install(model, &h.split.train);
     let u = h.test_cases()[0].user;
