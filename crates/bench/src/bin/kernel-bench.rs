@@ -1,7 +1,7 @@
 //! Kernel micro-benchmark with machine-readable output: times the scalar
 //! reference chain against the unrolled kernels and writes the comparison
-//! to a JSON file (`BENCH_kernels.json` by default), so speedups can be
-//! tracked in-repo without Criterion's report machinery.
+//! to a JSON file (`BENCH_kernels.json` by default), so speedups are
+//! tracked in-repo.
 //!
 //! ```text
 //! kernel-bench [--smoke] [--out FILE]

@@ -146,20 +146,6 @@ pub fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Shared setup for the Criterion benches: a Medium-scale harness and a
-/// trained suite (built once per bench binary).
-#[must_use]
-pub fn bench_context() -> (Harness, TrainedSuite) {
-    let opts = Options {
-        preset: Preset::Medium,
-        seed: 42,
-        out: PathBuf::from("experiments/out"),
-    };
-    let harness = opts.harness();
-    let suite = opts.suite(&harness);
-    (harness, suite)
-}
-
 /// Hash-derived f32 in [-0.5, 0.5): deterministic across platforms, no
 /// RNG state to thread through the generators.
 #[must_use]

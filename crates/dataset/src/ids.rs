@@ -74,21 +74,8 @@ id_type!(
 pub struct Day(pub u32);
 
 impl Day {
-    /// Days per (non-leap) year — coarse conversion for generators/tests.
+    /// Days per (non-leap) year — the generators' coarse date ranges.
     pub const PER_YEAR: u32 = 365;
-
-    /// The start of calendar year `year` (2012-based, coarse).
-    #[must_use]
-    pub fn from_year(year: u32) -> Self {
-        debug_assert!(year >= 2012);
-        Self((year - 2012) * Self::PER_YEAR)
-    }
-
-    /// The (coarse) calendar year this day falls in.
-    #[must_use]
-    pub fn year(self) -> u32 {
-        2012 + self.0 / Self::PER_YEAR
-    }
 }
 
 #[cfg(test)]
@@ -108,13 +95,5 @@ mod tests {
     fn ids_order_by_value() {
         assert!(BookIdx(1) < BookIdx(2));
         assert!(UserIdx(0) < UserIdx(10));
-    }
-
-    #[test]
-    fn day_year_round_trip() {
-        assert_eq!(Day::from_year(2012).year(), 2012);
-        assert_eq!(Day::from_year(2020).year(), 2020);
-        assert_eq!(Day(Day::PER_YEAR - 1).year(), 2012);
-        assert_eq!(Day(Day::PER_YEAR).year(), 2013);
     }
 }

@@ -7,7 +7,7 @@
 //! ground truth to *measure* that claim: a vocabulary-backed sparse
 //! encoder whose cosine is exact, plus [`mean_cosine_distortion`], which
 //! quantifies the hashed approximation error over a corpus (asserted in
-//! tests, reported by the encoder-dimension study).
+//! tests).
 //!
 //! The exact encoder deliberately mirrors the hashed one's pipeline
 //! (tokenisation, stop words, sublinear TF, smooth IDF, n-gram weighting)

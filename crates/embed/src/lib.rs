@@ -17,8 +17,8 @@
 //!    bag into a fixed-dimension unit vector (Johnson–Lindenstrauss style:
 //!    cosine in the projected space approximates cosine between the sparse
 //!    TF-IDF vectors);
-//! 4. [`store`] — an embedding store with batch similarity and exact
-//!    brute-force k-NN over the catalogue;
+//! 4. [`store`] — an embedding store with exact batch similarity scans
+//!    over the catalogue;
 //! 5. [`ivf`] — the deterministic IVF index behind the serve pipeline's
 //!    sub-linear candidate sources: seeded k-means coarse quantizer,
 //!    cosine retrieval over embeddings and MIPS retrieval over BPR item

@@ -1,5 +1,5 @@
 //! Embedding store: the catalogue's encoded metadata summaries plus batch
-//! similarity and exact k-NN.
+//! similarity scans.
 //!
 //! All rows are unit vectors (or zero for empty texts), so cosine similarity
 //! reduces to a dot product and a full catalogue scan for one query is a
@@ -9,7 +9,6 @@
 use crate::encoder::{EncoderScratch, SemanticEncoder};
 use rm_sparse::vecops;
 use rm_sparse::DenseMatrix;
-use rm_util::topk::{top_k_of, Scored};
 
 /// Dense store of item embeddings, one row per item.
 #[derive(Debug, Clone)]
@@ -177,20 +176,6 @@ impl EmbeddingStore {
         }
         vecops::scale(1.0 / indices.len() as f32, out);
     }
-
-    /// Exact k nearest neighbours of item `i` (excluding itself),
-    /// best-first.
-    #[must_use]
-    pub fn nearest(&self, i: usize, k: usize) -> Vec<Scored> {
-        let sims = self.similarities(self.matrix.row(i));
-        top_k_of(
-            sims.into_iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(j, s)| (j as u32, s)),
-            k,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -235,16 +220,6 @@ mod tests {
         let s = store();
         assert!(s.similarity(0, 1) > s.similarity(0, 2));
         assert!(s.similarity(2, 3) > s.similarity(1, 3));
-    }
-
-    #[test]
-    fn nearest_excludes_self_and_orders() {
-        let s = store();
-        let nn = s.nearest(0, 2);
-        assert_eq!(nn.len(), 2);
-        assert_eq!(nn[0].item, 1);
-        assert!(nn[0].score >= nn[1].score);
-        assert!(nn.iter().all(|sc| sc.item != 0));
     }
 
     #[test]

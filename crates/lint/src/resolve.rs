@@ -30,7 +30,7 @@ use crate::ir::{CallKind, Fact, FileIr};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose internals we never see: edges stop here, facts took over.
-const EXTERNAL_CRATES: &[&str] = &["std", "core", "alloc", "rand", "proptest", "criterion"];
+const EXTERNAL_CRATES: &[&str] = &["std", "core", "alloc", "rand", "proptest"];
 
 /// See [`crate::ir`]: derive-generated method names that legitimately
 /// have no workspace body.

@@ -6,24 +6,17 @@
 //! (`cargo test -p rm-serve --features testing`).
 #![cfg(feature = "testing")]
 
-use rm_core::bpr::{Bpr, BprConfig};
-use rm_core::closest::ClosestItems;
-use rm_core::most_read::MostReadItems;
-use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::UserIdx;
-use rm_dataset::interactions::Interactions;
-use rm_dataset::summary::SummaryFields;
-use rm_embed::EncoderConfig;
-use rm_eval::harness::Harness;
 use rm_serve::breaker::{BreakerConfig, BreakerState};
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ModelSlot, ServingEngine};
 use rm_serve::fault::{CallWindow, FaultPlan};
-use rm_serve::registry::{ArtifactRegistry, Manifest, MANIFEST_FILE};
+use rm_serve::registry::MANIFEST_FILE;
 use rm_util::clock::{Backoff, Clock, FakeClock};
-use std::path::PathBuf;
 use std::sync::{Arc, Once};
 use std::time::Duration;
+
+mod common;
+use common::{train_fixture, user_with_history};
 
 /// Injected panics are expected noise here: silence their reports so a
 /// green chaos run has a readable log, while real panics still print.
@@ -43,84 +36,6 @@ fn silence_injected_panics() {
     });
 }
 
-fn unique_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rm-serve-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A trained Tiny-preset model set plus the registry it was saved into.
-struct Fixture {
-    train: Interactions,
-    registry: ArtifactRegistry,
-    manifest: Manifest,
-    bpr: Bpr,
-    most_read: MostReadItems,
-    closest: ClosestItems,
-}
-
-impl Fixture {
-    fn train(tag: &str) -> Self {
-        let h = Harness::generate(11, Preset::Tiny);
-        let train = h.split.train.clone();
-        let mut bpr = Bpr::new(BprConfig {
-            factors: 4,
-            epochs: 2,
-            ..BprConfig::default()
-        });
-        bpr.fit(&train);
-        let mut most_read = MostReadItems::new();
-        most_read.fit(&train);
-        let mut closest =
-            ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-        closest.fit(&train);
-        let fx = Self {
-            train,
-            registry: ArtifactRegistry::new(unique_dir(tag)),
-            manifest: Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            bpr,
-            most_read,
-            closest,
-        };
-        fx.save();
-        fx
-    }
-
-    fn save(&self) {
-        self.registry
-            .save(
-                &self.manifest,
-                self.bpr.model().expect("fitted"),
-                &self.most_read,
-                self.closest.store(),
-                None,
-                None,
-            )
-            .expect("save artifacts");
-    }
-
-    fn save_with_faults(&self, plan: &FaultPlan) {
-        self.save();
-        self.registry
-            .corrupt_on_save(plan)
-            .expect("corrupt saved artifacts");
-    }
-
-    fn user(&self) -> UserIdx {
-        (0..self.train.n_users() as u32)
-            .map(UserIdx)
-            .find(|&u| !self.train.seen(u).is_empty())
-            .expect("some user has a history")
-    }
-
-    fn cleanup(&self) {
-        let _ = std::fs::remove_dir_all(self.registry.dir());
-    }
-}
-
 /// Single-threaded, uncached engine driven by a fake clock — the
 /// deterministic chaos base configuration.
 fn chaos_builder(clock: &Arc<FakeClock>) -> EngineConfigBuilder {
@@ -137,14 +52,14 @@ fn chaos_config(clock: &Arc<FakeClock>) -> EngineConfig {
 #[test]
 fn bpr_panic_storm_keeps_availability_at_one() {
     silence_injected_panics();
-    let fx = Fixture::train("panic-storm");
+    let fx = train_fixture("panic-storm");
     let clock = Arc::new(FakeClock::new());
     let plan = FaultPlan::none().panic_in(ModelSlot::Bpr, CallWindow::always());
     let engine =
         ServingEngine::load_with_faults(&fx.registry, &fx.train, chaos_config(&clock), plan)
             .expect("engine loads");
 
-    let user = fx.user();
+    let user = user_with_history(&fx.train);
     for _ in 0..200 {
         assert_eq!(engine.recommend(user, 5).len(), 5, "every request answered");
     }
@@ -183,7 +98,7 @@ fn bpr_panic_storm_keeps_availability_at_one() {
 #[test]
 fn batch_path_survives_panicking_slot_on_every_worker() {
     silence_injected_panics();
-    let fx = Fixture::train("batch-panics");
+    let fx = train_fixture("batch-panics");
     let clock = Arc::new(FakeClock::new());
     let plan = FaultPlan::none().panic_in(ModelSlot::Bpr, CallWindow::always());
     let engine = ServingEngine::load_with_faults(
@@ -216,14 +131,14 @@ fn batch_path_survives_panicking_slot_on_every_worker() {
 #[test]
 fn breaker_recovers_through_a_half_open_probe() {
     silence_injected_panics();
-    let fx = Fixture::train("breaker-recovery");
+    let fx = train_fixture("breaker-recovery");
     let clock = Arc::new(FakeClock::new());
     // Exactly the first five calls fail — the default threshold.
     let plan = FaultPlan::none().error_in(ModelSlot::Bpr, CallWindow::first(5));
     let engine =
         ServingEngine::load_with_faults(&fx.registry, &fx.train, chaos_config(&clock), plan)
             .expect("engine loads");
-    let user = fx.user();
+    let user = user_with_history(&fx.train);
     let bpr = ModelSlot::Bpr.index();
 
     for _ in 0..5 {
@@ -260,7 +175,7 @@ fn breaker_recovers_through_a_half_open_probe() {
 #[test]
 fn failed_probe_reopens_with_a_fresh_cooldown() {
     silence_injected_panics();
-    let fx = Fixture::train("probe-fails");
+    let fx = train_fixture("probe-fails");
     let clock = Arc::new(FakeClock::new());
     // Five failures open the breaker; the sixth call — the probe — fails
     // too, re-opening it; the seventh heals.
@@ -268,7 +183,7 @@ fn failed_probe_reopens_with_a_fresh_cooldown() {
     let engine =
         ServingEngine::load_with_faults(&fx.registry, &fx.train, chaos_config(&clock), plan)
             .expect("engine loads");
-    let user = fx.user();
+    let user = user_with_history(&fx.train);
     let bpr = ModelSlot::Bpr.index();
     let cooldown = BreakerConfig::default().cooldown;
 
@@ -299,7 +214,7 @@ fn failed_probe_reopens_with_a_fresh_cooldown() {
 #[test]
 fn slot_budget_cuts_off_slow_calls_and_trips_the_breaker() {
     silence_injected_panics();
-    let fx = Fixture::train("slow-slot");
+    let fx = train_fixture("slow-slot");
     let clock = Arc::new(FakeClock::new());
     let plan = FaultPlan::none().latency(ModelSlot::Bpr, Duration::from_millis(20));
     let engine = ServingEngine::load_with_faults(
@@ -316,7 +231,7 @@ fn slot_budget_cuts_off_slow_calls_and_trips_the_breaker() {
         plan,
     )
     .expect("engine loads");
-    let user = fx.user();
+    let user = user_with_history(&fx.train);
     let bpr = ModelSlot::Bpr.index();
 
     for _ in 0..3 {
@@ -339,7 +254,7 @@ fn slot_budget_cuts_off_slow_calls_and_trips_the_breaker() {
 #[test]
 fn request_deadline_stops_the_chain_walk() {
     silence_injected_panics();
-    let fx = Fixture::train("deadline");
+    let fx = train_fixture("deadline");
     let clock = Arc::new(FakeClock::new());
     // Both leading slots stall past the whole-request budget and then
     // panic, so the walk reaches Most Read only after the deadline.
@@ -360,7 +275,7 @@ fn request_deadline_stops_the_chain_walk() {
     )
     .expect("engine loads");
 
-    let recs = engine.recommend(fx.user(), 5);
+    let recs = engine.recommend(user_with_history(&fx.train), 5);
     assert!(recs.is_empty(), "deadline expiry answers empty");
     let m = engine.metrics();
     assert_eq!(m.deadline_skips, 1);
@@ -374,16 +289,18 @@ fn request_deadline_stops_the_chain_walk() {
 #[test]
 fn corrupt_on_save_degrades_exactly_that_slot() {
     silence_injected_panics();
-    let fx = Fixture::train("corrupt-save");
+    let fx = train_fixture("corrupt-save");
     let plan = FaultPlan::none().corrupt_on_save(ModelSlot::Bpr);
-    fx.save_with_faults(&plan);
+    fx.registry
+        .corrupt_on_save(&plan)
+        .expect("corrupt saved artifacts");
 
     let engine = ServingEngine::load(&fx.registry, &fx.train, EngineConfig::default())
         .expect("load degrades, never fails");
     assert_eq!(engine.degraded().len(), 1, "{:?}", engine.degraded());
     assert_eq!(engine.degraded()[0].0, ModelSlot::Bpr);
 
-    let recs = engine.recommend(fx.user(), 5);
+    let recs = engine.recommend(user_with_history(&fx.train), 5);
     assert_eq!(recs.len(), 5);
     assert_eq!(engine.metrics().served[ModelSlot::ClosestItems.index()], 1);
     fx.cleanup();
@@ -392,7 +309,7 @@ fn corrupt_on_save_degrades_exactly_that_slot() {
 #[test]
 fn reload_with_retry_keeps_serving_the_old_epoch_on_exhaustion() {
     silence_injected_panics();
-    let mut fx = Fixture::train("reload-retry");
+    let mut fx = train_fixture("reload-retry");
     let clock = Arc::new(FakeClock::new());
     let mut engine = ServingEngine::load(
         &fx.registry,
@@ -404,7 +321,7 @@ fn reload_with_retry_keeps_serving_the_old_epoch_on_exhaustion() {
             .expect("valid config"),
     )
     .expect("engine loads");
-    let user = fx.user();
+    let user = user_with_history(&fx.train);
     let before = engine.recommend(user, 5);
     assert_eq!(engine.epoch(), 1);
 
@@ -423,7 +340,7 @@ fn reload_with_retry_keeps_serving_the_old_epoch_on_exhaustion() {
 
     // The trainer publishes epoch 2: the next retry succeeds first try.
     fx.manifest.epoch = 2;
-    fx.save();
+    fx.save(&fx.registry, None, None);
     let attempts = engine
         .reload_with_retry(&fx.registry, &backoff)
         .expect("registry healthy again");
@@ -447,7 +364,7 @@ fn overload_storm_under_panic_storm_holds_availability() {
     use rm_serve::overload::{DegradationLevel, OverloadConfig};
 
     silence_injected_panics();
-    let fx = Fixture::train("overload-storm");
+    let fx = train_fixture("overload-storm");
     let clock = Arc::new(FakeClock::new());
     let overload = OverloadConfig {
         service_cost: Some([

@@ -1,75 +1,22 @@
 //! End-to-end serving-engine tests: train a tiny suite, persist it, then
 //! exercise the engine against healthy, corrupted, and missing artifacts.
 
-use rm_core::bpr::{Bpr, BprConfig, BprModel};
-use rm_core::closest::ClosestItems;
+use rm_core::bpr::BprModel;
 use rm_core::most_read::MostReadItems;
 use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::SummaryFields;
-use rm_embed::{EmbeddingStore, EncoderConfig};
-use rm_eval::harness::Harness;
+use rm_embed::EmbeddingStore;
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ModelSlot, ServingEngine};
 use rm_serve::pipeline::AlreadyBorrowedFilter;
 use rm_serve::registry::{ArtifactRegistry, Manifest, BPR_FILE, MOST_READ_FILE};
 use rm_sparse::DenseMatrix;
 use rm_util::RecError;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-fn unique_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rm-serve-engine-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A trained-and-persisted Tiny-preset artifact set plus its training
-/// interactions (which the engine rebuilds from the corpus, not disk).
-struct Fixture {
-    train: Interactions,
-    registry: ArtifactRegistry,
-}
-
-fn train_fixture(tag: &str) -> Fixture {
-    let h = Harness::generate(11, Preset::Tiny);
-    let train = h.split.train.clone();
-    let mut bpr = Bpr::new(BprConfig {
-        factors: 4,
-        epochs: 2,
-        ..BprConfig::default()
-    });
-    bpr.fit(&train);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&train);
-    let registry = ArtifactRegistry::new(unique_dir(tag));
-    registry
-        .save(
-            &Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            bpr.model().expect("fitted"),
-            &most_read,
-            closest.store(),
-            None,
-            None,
-        )
-        .expect("save artifacts");
-    Fixture { train, registry }
-}
-
-/// First user with a non-empty training history.
-fn user_with_history(train: &Interactions) -> UserIdx {
-    (0..train.n_users() as u32)
-        .map(UserIdx)
-        .find(|&u| !train.seen(u).is_empty())
-        .expect("some user has a history")
-}
+mod common;
+use common::{train_fixture, unique_dir, user_with_history, Fixture};
 
 fn engine_of(fx: &Fixture, config: EngineConfig) -> ServingEngine {
     ServingEngine::load(&fx.registry, &fx.train, config).expect("engine loads")

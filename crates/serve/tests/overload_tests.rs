@@ -2,67 +2,17 @@
 //! and the Zipf load generator, all driven by a fake clock so every
 //! decision (shed, level change, latency quantile) replays identically.
 
-use rm_core::bpr::{Bpr, BprConfig};
-use rm_core::closest::ClosestItems;
-use rm_core::most_read::MostReadItems;
-use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::UserIdx;
-use rm_dataset::interactions::Interactions;
-use rm_dataset::summary::SummaryFields;
-use rm_embed::EncoderConfig;
-use rm_eval::harness::Harness;
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ServingEngine};
 use rm_serve::loadgen::{self, ArrivalMode, LoadgenConfig};
 use rm_serve::overload::{DegradationLevel, OverloadConfig};
-use rm_serve::registry::{ArtifactRegistry, Manifest};
 use rm_util::clock::{Clock, FakeClock};
 use rm_util::RecError;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn unique_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rm-serve-overload-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-struct Fixture {
-    train: Interactions,
-    registry: ArtifactRegistry,
-}
-
-fn train_fixture(tag: &str) -> Fixture {
-    let h = Harness::generate(11, Preset::Tiny);
-    let train = h.split.train.clone();
-    let mut bpr = Bpr::new(BprConfig {
-        factors: 4,
-        epochs: 2,
-        ..BprConfig::default()
-    });
-    bpr.fit(&train);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&train);
-    let registry = ArtifactRegistry::new(unique_dir(tag));
-    registry
-        .save(
-            &Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            bpr.model().expect("fitted"),
-            &most_read,
-            closest.store(),
-            None,
-            None,
-        )
-        .expect("save artifacts");
-    Fixture { train, registry }
-}
+mod common;
+use common::{train_fixture, Fixture};
 
 fn engine_of(fx: &Fixture, config: EngineConfig) -> ServingEngine {
     ServingEngine::load(&fx.registry, &fx.train, config).expect("engine loads")

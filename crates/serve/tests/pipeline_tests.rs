@@ -2,79 +2,15 @@
 //! chain, provenance-backed explanations, filter behaviour, and (with
 //! `--features testing`) availability under a panicking source.
 
-use rm_core::bpr::{Bpr, BprConfig};
-use rm_core::closest::ClosestItems;
-use rm_core::most_read::MostReadItems;
 use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::UserIdx;
-use rm_dataset::interactions::Interactions;
-use rm_dataset::summary::SummaryFields;
-use rm_dataset::Corpus;
-use rm_embed::EncoderConfig;
-use rm_eval::harness::Harness;
 use rm_serve::engine::{EngineConfig, ModelSlot, ServingEngine};
 use rm_serve::pipeline::{AlreadyBorrowedFilter, BookGenres, DiversityCapFilter, Reason, SourceId};
-use rm_serve::registry::{ArtifactRegistry, Manifest};
-use std::path::PathBuf;
+use rm_serve::registry::ArtifactRegistry;
 use std::sync::Arc;
 
-fn unique_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rm-serve-pipeline-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Trained Tiny-preset artifacts plus the corpus (for genre lookups) and
-/// the directly-trained BPR (the pre-persistence reference model).
-struct Fixture {
-    corpus: Corpus,
-    train: Interactions,
-    bpr: Bpr,
-    registry: ArtifactRegistry,
-}
-
-fn train_fixture(tag: &str) -> Fixture {
-    let h = Harness::generate(11, Preset::Tiny);
-    let train = h.split.train.clone();
-    let mut bpr = Bpr::new(BprConfig {
-        factors: 4,
-        epochs: 2,
-        ..BprConfig::default()
-    });
-    bpr.fit(&train);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&train);
-    let registry = ArtifactRegistry::new(unique_dir(tag));
-    registry
-        .save(
-            &Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            bpr.model().expect("fitted"),
-            &most_read,
-            closest.store(),
-            None,
-            None,
-        )
-        .expect("save artifacts");
-    Fixture {
-        corpus: h.corpus,
-        train,
-        bpr,
-        registry,
-    }
-}
-
-impl Fixture {
-    fn cleanup(&self) {
-        let _ = std::fs::remove_dir_all(self.registry.dir());
-    }
-}
+mod common;
+use common::{train_fixture, unique_dir, Fixture};
 
 /// The default-config pipeline (single CF source derived from the chain
 /// head, no filters) must reproduce the direct BPR ranking bit for bit —
@@ -203,39 +139,12 @@ fn genre_filters_shape_the_pool() {
     fx.cleanup();
 }
 
-/// Retrains the Tiny fixture and publishes it twice: once bare, once
+/// Trains the Tiny fixture and publishes it twice: once bare, once
 /// with the IVF ANN artifact built the way `train --out` builds it.
 fn ann_registries(tag: &str) -> (Fixture, ArtifactRegistry) {
     let fx = train_fixture(tag);
-    let h = Harness::generate(11, Preset::Tiny);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&fx.train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&fx.train);
-    let model = fx.bpr.model().expect("fitted");
-    let ivf_config = rm_embed::IvfConfig::for_catalogue(fx.train.n_books());
-    let ann = rm_embed::AnnArtifact {
-        content: Some(rm_embed::IvfIndex::build(closest.store(), &ivf_config)),
-        cf: Some(rm_embed::IvfIndex::build_mips(
-            &model.item_factors,
-            &ivf_config,
-        )),
-    };
     let with_ann = ArtifactRegistry::new(unique_dir(&format!("{tag}-ann")));
-    with_ann
-        .save(
-            &Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            model,
-            &most_read,
-            closest.store(),
-            Some(&ann),
-            None,
-        )
-        .expect("save artifacts with ann");
+    fx.save(&with_ann, Some(&fx.ann()), None);
     (fx, with_ann)
 }
 
@@ -310,13 +219,6 @@ fn ann_pipeline_at_small_nprobe_keeps_the_contract() {
 #[test]
 fn mismatched_ann_artifact_is_dropped_with_note() {
     let fx = train_fixture("ann-mismatch");
-    let h = Harness::generate(11, Preset::Tiny);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&fx.train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&fx.train);
-    let model = fx.bpr.model().expect("fitted");
     let ivf_config = rm_embed::IvfConfig {
         nlist: 4,
         iters: 2,
@@ -337,19 +239,7 @@ fn mismatched_ann_artifact_is_dropped_with_note() {
         cf: Some(rm_embed::IvfIndex::build_mips(&bogus_factors, &ivf_config)),
     };
     let registry = ArtifactRegistry::new(unique_dir("ann-mismatch-reg"));
-    registry
-        .save(
-            &Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            model,
-            &most_read,
-            closest.store(),
-            Some(&bad_ann),
-            None,
-        )
-        .expect("save artifacts");
+    fx.save(&registry, Some(&bad_ann), None);
     let engine =
         ServingEngine::load(&registry, &fx.train, EngineConfig::default()).expect("engine loads");
     assert!(!engine.ann_cf_active() && !engine.ann_content_active());

@@ -5,31 +5,29 @@
 //! its model's exact f32 top-k even while IVF and i8 artifacts are
 //! active.
 
-use rm_core::bpr::{Bpr, BprConfig};
+use rm_core::bpr::Bpr;
 use rm_core::closest::ClosestItems;
 use rm_core::most_read::MostReadItems;
-use rm_core::quant::{QuantArtifact, QuantMode};
+use rm_core::quant::QuantMode;
 use rm_core::random::RandomItems;
 use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
-use rm_dataset::summary::SummaryFields;
-use rm_embed::{AnnArtifact, EncoderConfig, IvfConfig, IvfIndex};
-use rm_eval::harness::Harness;
 use rm_serve::engine::ModelSlot::{self, Bpr as B, ClosestItems as C, MostRead as M, Random as R};
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ServingEngine};
 use rm_serve::overload::{DegradationLevel, OverloadConfig};
 use rm_serve::pipeline::{anchor_book, Candidate, CandidateFilter, FilterCtx, Reason, SourceId};
-use rm_serve::registry::{ArtifactRegistry, Manifest, BPR_FILE, EMBEDDINGS_FILE, MOST_READ_FILE};
+use rm_serve::registry::{ArtifactRegistry, BPR_FILE, EMBEDDINGS_FILE, MOST_READ_FILE};
 use rm_util::clock::{Clock, FakeClock};
 use rm_util::trace::{Tracer, Value};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::{train_fixture_with, unique_dir};
+
+/// The shared fixture's models and two registries published from them.
 struct Fixture {
-    dir: PathBuf,
     train: Interactions,
     bpr: Bpr,
     closest: ClosestItems,
@@ -41,51 +39,31 @@ struct Fixture {
 }
 
 fn fixture(tag: &str) -> Fixture {
-    let h = Harness::generate(11, Preset::Tiny);
-    let train = h.split.train.clone();
-    let mut bpr = Bpr::new(BprConfig {
-        factors: 4,
-        epochs: 2,
-        ..BprConfig::default()
-    });
-    bpr.fit(&train);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&train);
-    let model = bpr.model().expect("fitted");
-    let ivf = IvfConfig::for_catalogue(train.n_books());
-    let ann = AnnArtifact {
-        content: Some(IvfIndex::build(closest.store(), &ivf)),
-        cf: Some(IvfIndex::build_mips(&model.item_factors, &ivf)),
-    };
-    let quant = QuantArtifact::quantize(QuantMode::I8, model, Some(closest.store()));
-    let dir = std::env::temp_dir().join(format!("rm-serve-plan-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let [full, random_only] = ["full", "random-only"].map(|name| {
-        let registry = ArtifactRegistry::new(dir.join(name));
-        let manifest = Manifest {
-            epoch: 1,
-            fields: SummaryFields::BEST,
-        };
-        let (store, ann, quant) = (closest.store(), Some(&ann), Some(&quant));
-        registry
-            .save(&manifest, model, &most_read, store, ann, quant)
-            .expect("save artifacts");
-        registry
-    });
+    let fx = train_fixture_with(&format!("{tag}-full"), Some(QuantMode::I8), true);
+    let random_only = ArtifactRegistry::new(unique_dir(&format!("{tag}-random-only")));
+    fx.save(
+        &random_only,
+        Some(&fx.ann()),
+        Some(&fx.quant(QuantMode::I8)),
+    );
     for file in [BPR_FILE, MOST_READ_FILE, EMBEDDINGS_FILE] {
         std::fs::remove_file(random_only.path_of(file)).expect("artifact exists");
     }
     Fixture {
-        dir,
-        train,
-        bpr,
-        closest,
-        most_read,
-        full,
+        train: fx.train,
+        bpr: fx.bpr,
+        closest: fx.closest,
+        most_read: fx.most_read,
+        full: fx.registry,
         random_only,
+    }
+}
+
+impl Fixture {
+    fn cleanup(&self) {
+        for registry in [&self.full, &self.random_only] {
+            let _ = std::fs::remove_dir_all(registry.dir());
+        }
     }
 }
 
@@ -236,7 +214,7 @@ fn every_brownout_level_runs_its_plan() {
             assert_eq!(slot_calls(&bare), expected, "{what}");
         }
     }
-    let _ = std::fs::remove_dir_all(&fx.dir);
+    fx.cleanup();
 }
 
 /// A terminal slot answers with its model's own exact f32 top-k, in
@@ -296,5 +274,5 @@ fn terminal_slots_serve_the_exact_f32_model() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&fx.dir);
+    fx.cleanup();
 }

@@ -4,81 +4,16 @@
 //! engine, availability untouched.
 
 use rm_core::bpr::{Bpr, BprConfig};
-use rm_core::closest::ClosestItems;
-use rm_core::most_read::MostReadItems;
 use rm_core::quant::{QuantArtifact, QuantMode, QuantRecommender};
 use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::UserIdx;
 use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::SummaryFields;
-use rm_embed::EncoderConfig;
-use rm_eval::harness::Harness;
 use rm_serve::engine::{EngineConfig, ModelSlot, ServingEngine};
-use rm_serve::registry::{ArtifactRegistry, Manifest, QUANT_FILE};
-use std::path::PathBuf;
+use rm_serve::registry::{Manifest, QUANT_FILE};
 
-fn unique_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rm-serve-quant-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-struct Fixture {
-    train: Interactions,
-    registry: ArtifactRegistry,
-}
-
-/// Trains the Tiny suite and publishes it with a quantized artifact
-/// (pass `None` for a quant-free registry).
-fn train_fixture(tag: &str, mode: Option<QuantMode>) -> Fixture {
-    train_fixture_with(tag, mode, false)
-}
-
-/// [`train_fixture`], plus the IVF ANN artifact built the way
-/// `train --out` builds it when `ann` is set.
-fn train_fixture_with(tag: &str, mode: Option<QuantMode>, ann: bool) -> Fixture {
-    let h = Harness::generate(11, Preset::Tiny);
-    let train = h.split.train.clone();
-    let mut bpr = Bpr::new(BprConfig {
-        factors: 4,
-        epochs: 2,
-        ..BprConfig::default()
-    });
-    bpr.fit(&train);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&train);
-    let quant = mode
-        .map(|m| QuantArtifact::quantize(m, bpr.model().expect("fitted"), Some(closest.store())));
-    let ann = ann.then(|| {
-        let ivf_config = rm_embed::IvfConfig::for_catalogue(train.n_books());
-        rm_embed::AnnArtifact {
-            content: Some(rm_embed::IvfIndex::build(closest.store(), &ivf_config)),
-            cf: Some(rm_embed::IvfIndex::build_mips(
-                &bpr.model().expect("fitted").item_factors,
-                &ivf_config,
-            )),
-        }
-    });
-    let registry = ArtifactRegistry::new(unique_dir(tag));
-    registry
-        .save(
-            &Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            bpr.model().expect("fitted"),
-            &most_read,
-            closest.store(),
-            ann.as_ref(),
-            quant.as_ref(),
-        )
-        .expect("save artifacts");
-    Fixture { train, registry }
-}
+mod common;
+use common::{train_fixture, train_fixture_with};
 
 fn users_with_history(train: &Interactions, n: usize) -> Vec<UserIdx> {
     (0..train.n_users() as u32)
@@ -91,7 +26,7 @@ fn users_with_history(train: &Interactions, n: usize) -> Vec<UserIdx> {
 #[test]
 fn quantized_engine_activates_and_serves() {
     for mode in [QuantMode::I8, QuantMode::F16] {
-        let fx = train_fixture(&format!("active-{}", mode.label()), Some(mode));
+        let fx = train_fixture_with(&format!("active-{}", mode.label()), Some(mode), false);
         let engine =
             ServingEngine::load(&fx.registry, &fx.train, EngineConfig::default()).expect("loads");
         assert!(engine.degraded().is_empty(), "{:?}", engine.degraded());
@@ -116,7 +51,7 @@ fn quantized_engine_activates_and_serves() {
 #[test]
 fn quantized_cf_source_answers_the_quant_recommender() {
     for mode in [QuantMode::I8, QuantMode::F16] {
-        let fx = train_fixture(&format!("exhaustive-{}", mode.label()), Some(mode));
+        let fx = train_fixture_with(&format!("exhaustive-{}", mode.label()), Some(mode), false);
         let config = EngineConfig::builder()
             .pool_size(1)
             .build()
@@ -153,7 +88,11 @@ fn quantized_cf_source_answers_the_quant_recommender() {
 #[test]
 fn quantized_cf_source_at_full_nprobe_matches_the_exhaustive_scan() {
     for mode in [QuantMode::I8, QuantMode::F16] {
-        let plain = train_fixture(&format!("full-ivf-plain-{}", mode.label()), Some(mode));
+        let plain = train_fixture_with(
+            &format!("full-ivf-plain-{}", mode.label()),
+            Some(mode),
+            false,
+        );
         let with_ann =
             train_fixture_with(&format!("full-ivf-ann-{}", mode.label()), Some(mode), true);
         let config = || {
@@ -189,7 +128,7 @@ fn quantized_cf_source_at_full_nprobe_matches_the_exhaustive_scan() {
 
 #[test]
 fn missing_quant_artifact_is_silent() {
-    let fx = train_fixture("missing", None);
+    let fx = train_fixture("missing");
     let engine =
         ServingEngine::load(&fx.registry, &fx.train, EngineConfig::default()).expect("loads");
     assert!(!engine.quant_cf_active());
@@ -204,7 +143,7 @@ fn missing_quant_artifact_is_silent() {
 /// operator note.
 #[test]
 fn corrupt_quant_artifact_falls_back_to_exact_f32() {
-    let baseline_fx = train_fixture("fallback-baseline", None);
+    let baseline_fx = train_fixture("fallback-baseline");
     let baseline = ServingEngine::load(
         &baseline_fx.registry,
         &baseline_fx.train,
@@ -214,7 +153,7 @@ fn corrupt_quant_artifact_falls_back_to_exact_f32() {
     let users = users_with_history(&baseline_fx.train, 8);
     let expected: Vec<Vec<u32>> = users.iter().map(|&u| baseline.recommend(u, 5)).collect();
 
-    let fx = train_fixture("fallback", Some(QuantMode::I8));
+    let fx = train_fixture_with("fallback", Some(QuantMode::I8), false);
     let path = fx.registry.path_of(QUANT_FILE);
     let pristine = std::fs::read(&path).expect("quant artifact exists");
     let mut corruptions: Vec<Vec<u8>> = [0, 1, 8, 9, pristine.len() / 2, pristine.len() - 1]
@@ -244,7 +183,7 @@ fn corrupt_quant_artifact_falls_back_to_exact_f32() {
 /// dropped per half with a note, never degrading a slot.
 #[test]
 fn mismatched_quant_artifact_drops_with_notes() {
-    let fx = train_fixture("mismatch", None);
+    let fx = train_fixture("mismatch");
     // Quantize a *different* model: same catalogue, other factor count.
     let mut other = Bpr::new(BprConfig {
         factors: 6,
@@ -310,7 +249,7 @@ fn corrupt_bpr_drops_only_its_ann_and_quant_halves() {
 /// registry deactivates quantized scoring on the next epoch.
 #[test]
 fn reload_reinstalls_quant() {
-    let fx = train_fixture("reload", Some(QuantMode::I8));
+    let fx = train_fixture_with("reload", Some(QuantMode::I8), false);
     let mut engine =
         ServingEngine::load(&fx.registry, &fx.train, EngineConfig::default()).expect("loads");
     assert!(engine.quant_cf_active());

@@ -10,22 +10,18 @@
 //! commits the new epoch with that slot degraded, never half-installed.
 
 use proptest::{prop_assert, prop_assert_eq, proptest};
-use rm_core::bpr::{Bpr, BprConfig};
-use rm_core::closest::ClosestItems;
-use rm_core::most_read::MostReadItems;
-use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::UserIdx;
 use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::SummaryFields;
-use rm_embed::EncoderConfig;
-use rm_eval::harness::Harness;
 use rm_serve::engine::{EngineConfig, ServingEngine};
 use rm_serve::registry::{
     ArtifactRegistry, Manifest, BPR_FILE, EMBEDDINGS_FILE, MANIFEST_FILE, MOST_READ_FILE,
 };
 use std::path::PathBuf;
 use std::sync::OnceLock;
+
+mod common;
+use common::{train_fixture, user_with_history};
 
 /// One trained artifact set, captured as bytes so every proptest case
 /// can restore a pristine registry without retraining.
@@ -41,45 +37,10 @@ struct Pristine {
 fn pristine() -> &'static Pristine {
     static FIXTURE: OnceLock<Pristine> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let h = Harness::generate(11, Preset::Tiny);
-        let train = h.split.train.clone();
-        let mut bpr = Bpr::new(BprConfig {
-            factors: 4,
-            epochs: 2,
-            ..BprConfig::default()
-        });
-        bpr.fit(&train);
-        let mut most_read = MostReadItems::new();
-        most_read.fit(&train);
-        let mut closest =
-            ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-        closest.fit(&train);
-
-        let dir =
-            std::env::temp_dir().join(format!("rm-serve-reload-proptest-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let registry = ArtifactRegistry::new(dir.clone());
-        registry
-            .save(
-                &Manifest {
-                    epoch: 1,
-                    fields: SummaryFields::BEST,
-                },
-                bpr.model().expect("fitted"),
-                &most_read,
-                closest.store(),
-                None,
-                None,
-            )
-            .expect("save artifacts");
-
-        let read = |file: &str| std::fs::read(registry.path_of(file)).expect("read artifact");
-        let user = (0..train.n_users() as u32)
-            .map(UserIdx)
-            .find(|&u| !train.seen(u).is_empty())
-            .expect("some user has a history");
+        let fx = train_fixture("pristine");
+        let read = |file: &str| std::fs::read(fx.registry.path_of(file)).expect("read artifact");
         Pristine {
-            user,
+            user: user_with_history(&fx.train),
             manifest_e1: read(MANIFEST_FILE),
             manifest_e2: Manifest {
                 epoch: 2,
@@ -91,8 +52,8 @@ fn pristine() -> &'static Pristine {
                 .into_iter()
                 .map(|f| (f, read(f)))
                 .collect(),
-            train,
-            dir,
+            dir: fx.registry.dir().to_path_buf(),
+            train: fx.train,
         }
     })
 }

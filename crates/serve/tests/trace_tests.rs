@@ -1,71 +1,14 @@
 //! Observability integration tests: the engine's structured trace and
 //! its Prometheus exposition, driven end-to-end over real artifacts.
 
-use rm_core::bpr::{Bpr, BprConfig};
-use rm_core::closest::ClosestItems;
-use rm_core::most_read::MostReadItems;
-use rm_core::Recommender;
-use rm_datagen::Preset;
 use rm_dataset::ids::UserIdx;
-use rm_dataset::interactions::Interactions;
-use rm_dataset::summary::SummaryFields;
-use rm_embed::EncoderConfig;
-use rm_eval::harness::Harness;
 use rm_serve::engine::{EngineConfig, ServingEngine};
-use rm_serve::registry::{ArtifactRegistry, Manifest};
 use rm_util::clock::{Clock, FakeClock};
 use rm_util::trace::{Kind, Tracer};
-use std::path::PathBuf;
 use std::sync::Arc;
 
-fn unique_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rm-serve-trace-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-struct Fixture {
-    train: Interactions,
-    registry: ArtifactRegistry,
-}
-
-fn train_fixture(tag: &str) -> Fixture {
-    let h = Harness::generate(11, Preset::Tiny);
-    let train = h.split.train.clone();
-    let mut bpr = Bpr::new(BprConfig {
-        factors: 4,
-        epochs: 2,
-        ..BprConfig::default()
-    });
-    bpr.fit(&train);
-    let mut most_read = MostReadItems::new();
-    most_read.fit(&train);
-    let mut closest =
-        ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-    closest.fit(&train);
-    let registry = ArtifactRegistry::new(unique_dir(tag));
-    registry
-        .save(
-            &Manifest {
-                epoch: 1,
-                fields: SummaryFields::BEST,
-            },
-            bpr.model().expect("fitted"),
-            &most_read,
-            closest.store(),
-            None,
-            None,
-        )
-        .expect("save artifacts");
-    Fixture { train, registry }
-}
-
-fn user_with_history(train: &Interactions) -> UserIdx {
-    (0..train.n_users() as u32)
-        .map(UserIdx)
-        .find(|&u| !train.seen(u).is_empty())
-        .expect("some user has a history")
-}
+mod common;
+use common::{train_fixture, user_with_history, Fixture};
 
 /// Single-worker engine with a fake clock and an enabled tracer.
 fn traced_engine(fx: &Fixture, clock: Arc<FakeClock>) -> ServingEngine {

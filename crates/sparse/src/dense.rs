@@ -118,12 +118,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Frobenius norm squared — the `‖V‖²` regularisation term.
-    #[must_use]
-    pub fn frob_norm_sq(&self) -> f64 {
-        self.data.iter().map(|&v| f64::from(v) * f64::from(v)).sum()
-    }
-
     /// Matrix–vector product `self · x` (len(x) == cols).
     ///
     /// # Panics
@@ -275,12 +269,6 @@ mod tests {
         assert!(m.as_slice().iter().all(|v| v.abs() <= 0.5));
         assert!(m.as_slice().iter().any(|&v| v < 0.0));
         assert!(m.as_slice().iter().any(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn frob_norm() {
-        let m = DenseMatrix::from_vec(1, 3, vec![1.0, 2.0, 2.0]);
-        assert!((m.frob_norm_sq() - 9.0).abs() < 1e-12);
     }
 
     #[test]

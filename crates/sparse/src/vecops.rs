@@ -463,24 +463,6 @@ pub fn dot_f16(a: &[u8], b: &[u8]) -> f32 {
     s
 }
 
-/// Element-wise mean of `vectors` (all the same length).
-///
-/// # Panics
-///
-/// Panics if `vectors` is empty or lengths disagree.
-#[must_use]
-pub fn mean_vector(vectors: &[&[f32]]) -> Vec<f32> {
-    assert!(!vectors.is_empty(), "mean of zero vectors");
-    let dim = vectors[0].len();
-    let mut acc = vec![0.0f32; dim];
-    for v in vectors {
-        assert_eq!(v.len(), dim, "mixed dimensions in mean_vector");
-        axpy(1.0, v, &mut acc);
-    }
-    scale(1.0 / vectors.len() as f32, &mut acc);
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,13 +496,6 @@ mod tests {
         assert!(cosine(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
         assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
         assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn mean_vector_basic() {
-        let a = [0.0f32, 2.0];
-        let b = [2.0f32, 4.0];
-        assert_eq!(mean_vector(&[&a, &b]), vec![1.0, 3.0]);
     }
 
     /// Deterministic pseudo-random test vector (golden-ratio hash — keeps

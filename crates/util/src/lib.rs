@@ -11,9 +11,9 @@
 //! * [`sample`] — discrete sampling machinery (Walker alias tables, Zipf and
 //!   log-normal samplers) used by the synthetic data generators and by the
 //!   WARP negative sampler;
-//! * [`stats`] — descriptive statistics (quantiles, empirical CDFs, Shannon
-//!   entropy) used both by the genre-aggregation pipeline and by the
-//!   experiment harness;
+//! * [`stats`] — descriptive statistics (Shannon entropy, empirical CDFs,
+//!   latency histograms) used by the genre-aggregation pipeline, the
+//!   experiment harness and the serving metrics;
 //! * [`topk`] — deterministic top-k selection of scored items, the common
 //!   last step of every recommender;
 //! * [`report`] — minimal ASCII-table and CSV rendering for experiment

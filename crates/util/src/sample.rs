@@ -224,27 +224,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Samples `k` distinct values from `0..n` (uniform, without replacement).
-///
-/// Uses Floyd's algorithm: O(k) expected time and O(k) space, independent of
-/// `n`. The result is returned in insertion order (not sorted).
-///
-/// # Panics
-///
-/// Panics if `k > n`.
-pub fn sample_distinct<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} distinct values from 0..{n}");
-    let mut chosen: std::collections::HashSet<usize> = std::collections::HashSet::with_capacity(k);
-    let mut out = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.random_range(0..=j);
-        let v = if chosen.contains(&t) { j } else { t };
-        chosen.insert(v);
-        out.push(v);
-    }
-    out
-}
-
 /// Samples one index from unnormalised `weights` by inverse-CDF walk.
 ///
 /// O(n) per draw — fine for one-off draws over small supports where building
@@ -376,26 +355,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn sample_distinct_is_distinct_and_in_range() {
-        let mut rng = rng_from_seed(7);
-        for _ in 0..50 {
-            let got = sample_distinct(&mut rng, 100, 30);
-            assert_eq!(got.len(), 30);
-            let set: std::collections::HashSet<_> = got.iter().copied().collect();
-            assert_eq!(set.len(), 30);
-            assert!(got.iter().all(|&v| v < 100));
-        }
-    }
-
-    #[test]
-    fn sample_distinct_full_range() {
-        let mut rng = rng_from_seed(8);
-        let mut got = sample_distinct(&mut rng, 10, 10);
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -2,60 +2,8 @@
 //!
 //! Three consumers drive the contents: the genre-aggregation step of the
 //! dataset pipeline (Shannon [`entropy`]), the Fig. 1 reproduction
-//! (empirical CDFs via [`Ecdf`]), and the synthetic-data calibration tests
-//! (means / medians / [`quantile`]s of count distributions).
-
-/// Arithmetic mean; `0.0` for an empty slice.
-#[must_use]
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Population variance; `0.0` for fewer than two values.
-#[must_use]
-pub fn variance(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
-}
-
-/// Quantile `q ∈ [0, 1]` with linear interpolation between order statistics
-/// (the "R-7" definition used by NumPy's default).
-///
-/// # Panics
-///
-/// Panics if `values` is empty or `q` is outside `[0, 1]`.
-#[must_use]
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile level out of range: {q}");
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "input must be sorted ascending"
-    );
-    let h = (sorted.len() - 1) as f64 * q;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
-    }
-}
-
-/// Median via [`quantile`] after sorting a copy.
-#[must_use]
-pub fn median(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "median of empty slice");
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
-    quantile(&v, 0.5)
-}
+//! (empirical CDFs via [`Ecdf`]), and the serving engine's latency metrics
+//! (log-bucketed [`Histogram`]s).
 
 /// Shannon entropy (nats) of a count histogram. Zero counts contribute
 /// nothing; an empty or all-zero histogram has entropy zero.
@@ -380,28 +328,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_variance_basics() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(variance(&[5.0]), 0.0);
-        assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&v, 0.0), 1.0);
-        assert_eq!(quantile(&v, 1.0), 4.0);
-        assert!((quantile(&v, 0.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_unsorted_input() {
-        assert_eq!(median(&[9.0, 1.0, 5.0]), 5.0);
-        assert_eq!(median(&[4.0, 1.0]), 2.5);
-    }
 
     #[test]
     fn entropy_uniform_is_log_n() {

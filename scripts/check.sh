@@ -104,6 +104,24 @@ fi
 rm -rf "$DEPLOY_DIR"
 trap - EXIT
 
+echo "==> same answers: default-seed Table 1 vs committed experiments/out"
+# Paper preset, seed 42: the recomputed table1.csv and table1_precise.csv
+# must match the committed files byte-for-byte. A change that moves
+# Table 1 regenerates experiments/out and EXPERIMENTS.md in the same commit.
+TABLE1_DIR=$(mktemp -d)
+trap 'rm -rf "$TABLE1_DIR"' EXIT
+cargo run --release -q -p rm-bench --bin repro-table1 -- \
+    --preset paper --seed 42 --out "$TABLE1_DIR"
+for f in table1.csv table1_precise.csv; do
+    if ! cmp "experiments/out/$f" "$TABLE1_DIR/$f"; then
+        echo "Table 1 differs from experiments/out/$f; if the change is intended, regenerate with:" >&2
+        echo "  cargo run --release -p rm-bench --bin repro-table1 > experiments/out/repro-table1.log" >&2
+        exit 1
+    fi
+done
+rm -rf "$TABLE1_DIR"
+trap - EXIT
+
 echo "==> overload SLO gate (deterministic loadgen smoke vs committed BENCH_serve.json)"
 # A 10x open-loop burst on simulated time: the report must match the
 # committed file byte-for-byte and meet its SLO (availability >= 0.999,
