@@ -36,8 +36,14 @@ impl HistoryBin {
 
 /// Splits `histories` (training-readings count per evaluation user) into
 /// `n_bins` bins of approximately equal population. Returns the bins in
-/// ascending order; adjacent duplicates collapse, so fewer bins can come
-/// back for very concentrated distributions.
+/// ascending order.
+///
+/// Bin `b` should end after `(b + 1)·n/n_bins` of the `n` users, but all
+/// users with one history size share a bin, so a cut that falls inside a
+/// block of tied sizes ends the bin on whichever side of the block leaves
+/// the cumulative count nearer that ideal (the upper side on a tie). A
+/// bin left empty collapses, so fewer bins can come back for very
+/// concentrated distributions.
 ///
 /// # Panics
 ///
@@ -49,26 +55,36 @@ pub fn equal_population_bins(histories: &[u64], n_bins: usize) -> Vec<HistoryBin
     let mut sorted = histories.to_vec();
     sorted.sort_unstable();
     let n = sorted.len();
-    let mut bins = Vec::with_capacity(n_bins);
-    let mut lo = sorted[0];
+    let mut bins: Vec<HistoryBin> = Vec::with_capacity(n_bins);
+    // Users binned so far: `sorted[..start]`.
+    let mut start = 0;
     for b in 0..n_bins {
-        let end = ((b + 1) * n / n_bins).min(n) - 1;
-        let hi = sorted[end];
-        if b == n_bins - 1 {
+        let end = if b == n_bins - 1 {
+            n
+        } else {
+            // Counts are compared scaled by `n_bins`, so the ideal cut
+            // `(b + 1)·n/n_bins` stays exact; the user it falls on (or
+            // just after, when it falls between two) names the block.
+            let ideal = (b + 1) * n;
+            let tied = sorted[ideal / n_bins];
+            let below = sorted.partition_point(|&h| h < tied);
+            let above = sorted.partition_point(|&h| h <= tied);
+            if (below * n_bins).abs_diff(ideal) < (above * n_bins).abs_diff(ideal) {
+                below
+            } else {
+                above
+            }
+        };
+        if end > start {
+            // Bins tile the range: each starts just above the previous one.
+            let lo = bins.last().map_or(sorted[0], |prev| prev.hi + 1);
             bins.push(HistoryBin {
                 lo,
-                hi: sorted[n - 1],
+                hi: sorted[end - 1],
             });
-        } else if hi >= lo {
-            // Next bin starts just above this bin's upper bound.
-            bins.push(HistoryBin { lo, hi });
-            lo = hi + 1;
+            start = end;
         }
-        // hi < lo happens when a boundary value spans multiple quantiles;
-        // the bin is skipped (collapsed into the previous one).
     }
-    // Remove degenerate trailing bins (hi < lo).
-    bins.retain(|b| b.hi >= b.lo);
     bins
 }
 
@@ -156,6 +172,34 @@ mod tests {
         assert_eq!(bins.len(), 4);
         assert_eq!(bins[0].lo, 1);
         assert_eq!(bins.last().unwrap().hi, 100);
+    }
+
+    #[test]
+    fn tied_block_goes_to_the_nearer_side_of_each_cut() {
+        // 100 users, ideal cuts after 25, 50 and 75: sizes 1..=10 once
+        // each, size 11 sixty times, then 12..=41 once each.
+        let mut histories: Vec<u64> = (1..=10).collect();
+        histories.extend(std::iter::repeat_n(11, 60));
+        histories.extend(12..=41);
+        let bins = equal_population_bins(&histories, 4);
+        // The cut after 25 falls in the tied block at 10 users below it
+        // and 70 above, so the block starts the second bin rather than
+        // swelling the first to 70 users and leaving the second empty.
+        assert_eq!(
+            bins,
+            [(1, 10), (11, 11), (12, 16), (17, 41)].map(|(lo, hi)| HistoryBin { lo, hi })
+        );
+        let counts: Vec<usize> = bins
+            .iter()
+            .map(|bin| histories.iter().filter(|&&h| bin.contains(h)).count())
+            .collect();
+        assert_eq!(counts, [10, 60, 5, 25]);
+    }
+
+    #[test]
+    fn fewer_users_than_bins() {
+        let bins = equal_population_bins(&[3, 9], 4);
+        assert_eq!(bins, [(3, 3), (4, 9)].map(|(lo, hi)| HistoryBin { lo, hi }));
     }
 
     #[test]

@@ -2,21 +2,26 @@
 //!
 //! Stage two of the serving pipeline: the per-source candidate lists
 //! from [`crate::pipeline::sources`] are pooled into one deduplicated
-//! list. The emissions are concatenated, stably sorted by book index and
-//! deduplicated, so the output order is ascending book index regardless
-//! of how many sources ran or in which order their emissions arrive — a
-//! hard determinism requirement (DESIGN.md §15). When two sources
-//! propose the same book the *first* source's provenance wins (the
-//! stable sort keeps emission order among equal books, and the dedup
-//! keeps the first of each run), so the explanation a reader sees
-//! always names the highest-priority signal that suggested the book.
+//! list in ascending book order, regardless of how many sources ran or
+//! in which order their emissions arrive — a hard determinism
+//! requirement (DESIGN.md §15). When two sources propose the same book
+//! the *first* proposal in emission order wins, so the explanation a
+//! reader sees always names the highest-priority signal that suggested
+//! the book.
+//!
+//! The emissions are concatenated into the pool, and each candidate gets
+//! one `u64` key, `book << 32 | position`. Sorting the keys orders them by
+//! book, then by position, so the first key of each book names the
+//! candidate that survives; the survivors are then gathered to the front
+//! of the pool in key order. Sorting 8-byte keys instead of the 24-byte
+//! candidates is what keeps the merge cheap next to the sources' scans.
 
 use super::sources::Candidate;
 
 /// Merges per-source emissions for one user into `pool`, deduplicating
 /// by book with first-source-wins provenance. `pool` is cleared and
 /// refilled in ascending book order; reused across calls, it allocates
-/// only the stable sort's scratch.
+/// only the key buffer.
 pub fn merge_into<'a, I>(emissions: I, pool: &mut Vec<Candidate>)
 where
     I: IntoIterator<Item = &'a [Candidate]>,
@@ -25,8 +30,37 @@ where
     for emission in emissions {
         pool.extend_from_slice(emission);
     }
-    pool.sort_by_key(|c| c.book);
-    pool.dedup_by_key(|c| c.book);
+    // A position fits the low word: a pool of 2^32 candidates would
+    // need 96 GiB.
+    let mut keys: Vec<u64> = pool
+        .iter()
+        .zip(0u32..)
+        .map(|(c, at)| u64::from(c.book) << 32 | u64::from(at))
+        .collect();
+    keys.sort_unstable();
+    // In-place gather of the first key of each book. Slot `kept` takes
+    // the candidate from position `at`, and the candidate it held moves
+    // to `at`; `keys[kept]` (already read) records that move. A wanted
+    // position below `kept` was such a slot, so its candidate is found
+    // by following the recorded moves, which only go forward.
+    let mut kept = 0;
+    let mut last = None;
+    for j in 0..keys.len() {
+        let key = keys[j];
+        let book = (key >> 32) as u32;
+        if last == Some(book) {
+            continue;
+        }
+        last = Some(book);
+        let mut at = key as u32 as usize;
+        while at < kept {
+            at = keys[at] as usize;
+        }
+        pool.swap(kept, at);
+        keys[kept] = at as u64;
+        kept += 1;
+    }
+    pool.truncate(kept);
 }
 
 #[cfg(test)]

@@ -58,7 +58,17 @@ echo "==> perfbench self-tests (the benchmark still builds against the serve API
 # perfbench is its own cargo package (empty [workspace], path deps on the
 # crates), so the workspace build never compiles it: without this step a
 # serve API change that breaks the benchmark would pass every gate.
+# Resolving the package rewrites perfbench/Cargo.lock when the committed
+# lock is stale; the benchmark's files must come out of a check as they
+# went in, so the lock is saved first and put back afterwards, also when
+# the step fails.
+PERFBENCH_LOCK=$(mktemp)
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+trap 'cp "$PERFBENCH_LOCK" perfbench/Cargo.lock; rm -f "$PERFBENCH_LOCK"' EXIT
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
+cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
+rm -f "$PERFBENCH_LOCK"
+trap - EXIT
 
 echo "==> chaos suite (rm-serve with fault injection compiled in)"
 cargo test -q -p rm-serve --features testing
