@@ -4,12 +4,12 @@
 //! Every experiment runner in [`crate::experiments`] starts from a
 //! [`Harness`]; the heavyweight artefacts (the trained BPR model, the
 //! encoded catalogue) are built once in [`TrainedSuite`] and shared.
-//! [`run_timed_pipeline`] runs the whole offline pipeline — datagen →
-//! dataset prep → embed → train → eval — under a [`PipelineTimer`] whose
-//! per-stage wall-clock readings come from the [`Clock`] abstraction, so
-//! the stage report is exact (and deterministic) under a fake clock.
+//! [`TrainedSuite::train`] is the suite's one trainer and its
+//! [`TrainedSuite::fit_times`] the one training timer: the `repro-*`
+//! binaries, `reading-machine evaluate` and the loadgen smoke all fit
+//! through it, and Table 2 reads its timings.
 
-use crate::metrics::{evaluate, test_cases, Kpis, UserCase};
+use crate::metrics::{test_cases, UserCase};
 use crate::split::{Split, SplitConfig};
 use rm_core::bpr::{Bpr, BprConfig};
 use rm_core::closest::ClosestItems;
@@ -22,9 +22,6 @@ use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::SummaryFields;
 use rm_dataset::Corpus;
 use rm_embed::EncoderConfig;
-use rm_util::clock::{Clock, MonotonicClock};
-use rm_util::report::{fmt_f64, Table};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Corpus + split, the immutable context of one experiment campaign.
@@ -37,20 +34,26 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Generates a synthetic corpus for `preset` and splits it with the
-    /// paper's fractions. The single `seed` drives both stages (through
-    /// independent derived streams).
+    /// Generates a synthetic corpus for `preset` and splits it with
+    /// [`Harness::split_seeded`]. The single `seed` drives both stages
+    /// (through independent derived streams).
     #[must_use]
     pub fn generate(seed: u64, preset: Preset) -> Self {
-        let corpus = rm_datagen::generate_corpus(seed, preset);
-        let split = Split::of_corpus(
-            &corpus,
+        Self::split_seeded(rm_datagen::generate_corpus(seed, preset), seed)
+    }
+
+    /// Splits `corpus` with the paper's fractions, shuffled from a stream
+    /// derived from `seed`: a corpus generated with `seed` splits exactly
+    /// as [`Harness::generate`] splits it, wherever it was read from.
+    #[must_use]
+    pub fn split_seeded(corpus: Corpus, seed: u64) -> Self {
+        Self::from_corpus(
+            corpus,
             &SplitConfig {
                 seed: rm_util::rng::derive_seed_str(seed, "split"),
                 ..SplitConfig::default()
             },
-        );
-        Self { corpus, split }
+        )
     }
 
     /// Wraps an existing corpus.
@@ -135,12 +138,14 @@ pub struct TrainedSuite {
     /// BPR (collaborative filtering).
     pub bpr: Bpr,
     /// Wall-clock training time of each, in suite order
-    /// (random, most_read, closest, bpr).
+    /// (random, most_read, closest, bpr). Closest Items' entry covers its
+    /// catalogue encoding (`ClosestItems::from_corpus`) as well as `fit`.
     pub fit_times: [Duration; 4],
 }
 
 impl TrainedSuite {
-    /// Trains the full suite. `fields` is the Closest Items metadata
+    /// Trains the full suite, timing each model into
+    /// [`TrainedSuite::fit_times`]. `fields` is the Closest Items metadata
     /// summary (the paper's best is authors+genres).
     #[must_use]
     pub fn train(
@@ -149,160 +154,24 @@ impl TrainedSuite {
         fields: SummaryFields,
         seed: u64,
     ) -> Self {
-        let mut timer = PipelineTimer::real();
-        Self::train_timed(harness, bpr_config, fields, seed, &mut timer)
-    }
-
-    /// [`TrainedSuite::train`] with the catalogue-embedding and
-    /// model-fitting stages recorded on `timer` (as `embed` and `train`).
-    #[must_use]
-    pub fn train_timed(
-        harness: &Harness,
-        bpr_config: BprConfig,
-        fields: SummaryFields,
-        seed: u64,
-        timer: &mut PipelineTimer,
-    ) -> Self {
-        let mut closest = timer.time("embed", || {
-            ClosestItems::from_corpus(&harness.corpus, fields, EncoderConfig::default())
-        });
-        timer.time("train", || {
-            let mut random = RandomItems::new(rm_util::rng::derive_seed_str(seed, "random-rec"));
-            let mut most_read = MostReadItems::new();
-            let mut bpr = Bpr::new(bpr_config);
-            let fit_times = [
-                harness.fit_timed(&mut random),
-                harness.fit_timed(&mut most_read),
-                harness.fit_timed(&mut closest),
-                harness.fit_timed(&mut bpr),
-            ];
-            Self {
-                random,
-                most_read,
-                closest,
-                bpr,
-                fit_times,
-            }
-        })
-    }
-}
-
-/// Per-stage wall-clock timing of the offline pipeline, read through the
-/// [`Clock`] abstraction (deterministic under a fake clock).
-#[derive(Debug)]
-pub struct PipelineTimer {
-    clock: Arc<dyn Clock>,
-    stages: Vec<(&'static str, Duration)>,
-}
-
-impl PipelineTimer {
-    /// A timer reading `clock`.
-    #[must_use]
-    pub fn new(clock: Arc<dyn Clock>) -> Self {
+        let mut random = RandomItems::new(rm_util::rng::derive_seed_str(seed, "random-rec"));
+        let mut most_read = MostReadItems::new();
+        let mut bpr = Bpr::new(bpr_config);
+        let random_time = harness.fit_timed(&mut random);
+        let most_read_time = harness.fit_timed(&mut most_read);
+        let t0 = Instant::now();
+        let mut closest =
+            ClosestItems::from_corpus(&harness.corpus, fields, EncoderConfig::default());
+        closest.fit(&harness.split.train);
+        let closest_time = t0.elapsed();
+        let bpr_time = harness.fit_timed(&mut bpr);
         Self {
-            clock,
-            stages: Vec::new(),
+            random,
+            most_read,
+            closest,
+            bpr,
+            fit_times: [random_time, most_read_time, closest_time, bpr_time],
         }
-    }
-
-    /// A timer on the real monotonic clock.
-    #[must_use]
-    pub fn real() -> Self {
-        Self::new(Arc::new(MonotonicClock::new()))
-    }
-
-    /// Runs `stage`, appending its elapsed clock time to the record.
-    pub fn time<T>(&mut self, stage: &'static str, f: impl FnOnce() -> T) -> T {
-        let t0 = self.clock.now();
-        let out = f();
-        let elapsed = self.clock.now().saturating_sub(t0);
-        self.stages.push((stage, elapsed));
-        out
-    }
-
-    /// The recorded stages, in execution order.
-    #[must_use]
-    pub fn stages(&self) -> &[(&'static str, Duration)] {
-        &self.stages
-    }
-
-    /// Total time across all recorded stages.
-    #[must_use]
-    pub fn total(&self) -> Duration {
-        self.stages.iter().map(|(_, d)| *d).sum()
-    }
-
-    /// The stage report: per-stage time and share of the total.
-    #[must_use]
-    pub fn table(&self) -> Table {
-        let total = self.total().as_secs_f64();
-        let mut t = Table::new(["stage", "seconds", "share"]);
-        for (stage, d) in &self.stages {
-            let secs = d.as_secs_f64();
-            let share = if total > 0.0 { secs / total } else { 0.0 };
-            t.push_row([
-                (*stage).to_owned(),
-                fmt_f64(secs, 3),
-                format!("{}%", fmt_f64(share * 100.0, 1)),
-            ]);
-        }
-        t.push_row(["total".to_owned(), fmt_f64(total, 3), "100.0%".to_owned()]);
-        t
-    }
-}
-
-/// Output of [`run_timed_pipeline`]: the trained context plus the KPI
-/// row of each suite model and the stage timings that produced them.
-pub struct TimedPipeline {
-    /// Corpus + split.
-    pub harness: Harness,
-    /// The four trained recommenders.
-    pub suite: TrainedSuite,
-    /// KPIs at the requested `k`, in suite order
-    /// (random, most_read, closest, bpr).
-    pub kpis: [Kpis; 4],
-    /// Stage timings: datagen → dataset_prep → embed → train → eval.
-    pub timer: PipelineTimer,
-}
-
-/// Runs the full offline pipeline — synthetic corpus generation, dataset
-/// preparation (split), catalogue embedding, model training, and
-/// evaluation at `k` — with each stage timed on `clock`.
-#[must_use]
-pub fn run_timed_pipeline(
-    seed: u64,
-    preset: Preset,
-    bpr_config: BprConfig,
-    fields: SummaryFields,
-    k: usize,
-    clock: Arc<dyn Clock>,
-) -> TimedPipeline {
-    let mut timer = PipelineTimer::new(clock);
-    let corpus = timer.time("datagen", || rm_datagen::generate_corpus(seed, preset));
-    let harness = timer.time("dataset_prep", || {
-        Harness::from_corpus(
-            corpus,
-            &SplitConfig {
-                seed: rm_util::rng::derive_seed_str(seed, "split"),
-                ..SplitConfig::default()
-            },
-        )
-    });
-    let suite = TrainedSuite::train_timed(&harness, bpr_config, fields, seed, &mut timer);
-    let kpis = timer.time("eval", || {
-        let cases = harness.test_cases();
-        [
-            evaluate(&suite.random, &cases, k),
-            evaluate(&suite.most_read, &cases, k),
-            evaluate(&suite.closest, &cases, k),
-            evaluate(&suite.bpr, &cases, k),
-        ]
-    });
-    TimedPipeline {
-        harness,
-        suite,
-        kpis,
-        timer,
     }
 }
 
@@ -357,71 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_timer_is_deterministic_under_fake_clock() {
-        use rm_util::clock::FakeClock;
-        let clock = Arc::new(FakeClock::new());
-        let mut timer = PipelineTimer::new(Arc::clone(&clock) as Arc<dyn Clock>);
-        let out = timer.time("datagen", || {
-            clock.advance(Duration::from_millis(30));
-            7u32
-        });
-        assert_eq!(out, 7);
-        timer.time("train", || clock.advance(Duration::from_millis(70)));
-        assert_eq!(
-            timer.stages(),
-            &[
-                ("datagen", Duration::from_millis(30)),
-                ("train", Duration::from_millis(70)),
-            ]
-        );
-        assert_eq!(timer.total(), Duration::from_millis(100));
-        let table = timer.table().render();
-        for needle in ["datagen", "train", "total", "30.0%", "70.0%", "100.0%"] {
-            assert!(table.contains(needle), "missing {needle} in:\n{table}");
-        }
-    }
-
-    #[test]
-    fn timed_pipeline_covers_every_stage_in_order() {
-        let result = run_timed_pipeline(
-            11,
-            Preset::Tiny,
-            BprConfig {
-                factors: 4,
-                epochs: 2,
-                ..BprConfig::default()
-            },
-            SummaryFields::BEST,
-            5,
-            Arc::new(MonotonicClock::new()),
-        );
-        let stages: Vec<&str> = result.timer.stages().iter().map(|(s, _)| *s).collect();
-        assert_eq!(
-            stages,
-            ["datagen", "dataset_prep", "embed", "train", "eval"]
-        );
-        for kpi in &result.kpis {
-            assert!(kpi.n_users > 0);
-        }
-        // The timed path trains the same suite as the plain one.
-        let plain = TrainedSuite::train(
-            &result.harness,
-            BprConfig {
-                factors: 4,
-                epochs: 2,
-                ..BprConfig::default()
-            },
-            SummaryFields::BEST,
-            11,
-        );
-        let cases = result.harness.test_cases();
-        assert_eq!(
-            crate::metrics::evaluate(&plain.bpr, &cases, 5),
-            crate::metrics::evaluate(&result.suite.bpr, &cases, 5),
-        );
-    }
-
-    #[test]
     fn suite_trains_and_times() {
         let h = harness();
         let suite = TrainedSuite::train(
@@ -437,6 +241,8 @@ mod tests {
         let cases = h.test_cases();
         let k = crate::metrics::evaluate(&suite.bpr, &cases, 5);
         assert!(k.n_users > 0);
+        // Closest Items' entry includes the catalogue encoding.
+        assert!(suite.fit_times[2] > Duration::ZERO);
         assert!(suite.fit_times[3] > Duration::ZERO);
         let latency = h.recommendation_time(&suite.closest, 5, 10);
         assert!(latency > Duration::ZERO);

@@ -7,9 +7,9 @@
 //!   (Eq. 6), Recall (Eq. 7), and the Average First Rank position.
 //! * [`groups`] — user grouping by training-history size (Fig. 4's
 //!   equal-population bins).
-//! * [`harness`] — end-to-end context: generate corpus → split → train →
-//!   evaluate, with wall-clock timing for Table 2 and a per-stage
-//!   pipeline timer ([`harness::run_timed_pipeline`]).
+//! * [`harness`] — end-to-end context: generate corpus → split → train,
+//!   with the suite's one trainer ([`harness::TrainedSuite::train`]),
+//!   whose per-model fit times are Table 2's training column.
 //! * [`beyond`] — the beyond-accuracy metrics (diversity, novelty,
 //!   serendipity, genre coverage) the paper names as future work.
 //! * [`bootstrap`] — percentile bootstrap confidence intervals over users,
@@ -25,6 +25,5 @@ pub mod harness;
 pub mod metrics;
 pub mod split;
 
-pub use harness::{run_timed_pipeline, PipelineTimer, TimedPipeline};
 pub use metrics::{Kpis, UserCase};
 pub use split::{Split, SplitConfig, SplitStrategy};

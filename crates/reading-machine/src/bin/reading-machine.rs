@@ -5,7 +5,7 @@
 //! reading-machine stats    --corpus corpus/
 //! reading-machine train    --out artifacts/ [--corpus corpus/] [--epoch 1] [--factors 20] [--epochs 15]
 //! reading-machine explain  --artifacts artifacts/ --user 17 [--corpus corpus/] [--k 10]
-//! reading-machine evaluate [--corpus corpus/] [--k 20]
+//! reading-machine evaluate [--corpus corpus/] [--seed 42] [--k 20]
 //! reading-machine serve-bench --artifacts artifacts/ [--corpus corpus/] [--requests 2000]
 //! reading-machine metrics-dump --artifacts artifacts/ [--requests 1000]
 //! ```
@@ -17,8 +17,9 @@
 //! training to serving; `explain` loads that registry into the serving
 //! engine, serves one user through the candidate pipeline, and prints the
 //! top-k titles with the provenance-backed reason behind each ("because
-//! you borrowed X"); `evaluate` runs the paper's KPI comparison on a fresh
-//! split and prints the per-stage pipeline timing report; `serve-bench`
+//! you borrowed X"); `evaluate` splits the corpus as the `repro-*` binaries
+//! do, fits the paper's suite through `TrainedSuite::train`, and prints the
+//! KPIs with the run's per-stage timing; `serve-bench`
 //! loads an artifact directory into the serving engine and reports single
 //! vs batched throughput with latency quantiles; `metrics-dump` replays a
 //! request stream and prints the engine metrics in Prometheus text
@@ -40,14 +41,15 @@
 
 use reading_machine::dataset::io::{load_corpus, save_corpus};
 use reading_machine::dataset::stats::{genre_shares, summarize};
-use reading_machine::eval::harness::{run_timed_pipeline, Harness, PipelineTimer, TrainedSuite};
 use reading_machine::eval::metrics::{default_threads, evaluate_parallel};
 use reading_machine::prelude::*;
 use reading_machine::util::clock::MonotonicClock;
+use reading_machine::util::report::{fmt_f64, Table};
 use reading_machine::util::trace::Tracer;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
     // Exit quietly when stdout closes early (`reading-machine stats | head`).
@@ -91,7 +93,7 @@ fn print_usage() {
          reading-machine stats     --corpus DIR\n  \
          reading-machine train     --out DIR [--corpus DIR] [--epoch N] [--factors N] [--epochs N] [--lr F] [--ann off] [--quant i8|f16|off] [--trace FILE]\n  \
          reading-machine explain   --artifacts DIR --user N [--corpus DIR] [--k N]\n  \
-         reading-machine evaluate  [--corpus DIR] [--k N] [--seed N]\n  \
+         reading-machine evaluate  [--corpus DIR] [--preset P] [--seed N] [--k N]\n  \
          reading-machine serve-bench --artifacts DIR [--corpus DIR] [--k N] [--requests N] [--trace FILE] [--chaos PLAN]\n  \
          reading-machine serve-bench --loadgen smoke|open|closed [--artifacts DIR] [--preset tiny|medium|paper|paper_x100] [--rps F] [--burst F] [--phase-ms N] [--zipf F] [--seed N] [--out FILE] [--gate FILE]\n  \
          reading-machine metrics-dump --artifacts DIR [--corpus DIR] [--k N] [--requests N]\n\n\
@@ -201,6 +203,53 @@ fn corpus_of(flags: &Flags) -> Result<Corpus, String> {
             let preset = preset_of(flags)?;
             Ok(reading_machine::datagen::generate_corpus(seed, preset))
         }
+    }
+}
+
+/// What every serving command stands an engine on: the registry named by
+/// `--artifacts`, the corpus from [`corpus_of`], and the training
+/// interactions rebuilt from that corpus (they are not in the registry).
+struct Deployment {
+    registry: ArtifactRegistry,
+    corpus: Corpus,
+    train: Interactions,
+}
+
+impl Deployment {
+    /// Reads `--artifacts` and the corpus; the registry itself is read
+    /// when an engine loads it.
+    fn open(flags: &Flags) -> Result<Self, String> {
+        let registry = ArtifactRegistry::new(PathBuf::from(flags.required("artifacts")?));
+        let corpus = corpus_of(flags)?;
+        let train = Interactions::from_corpus(&corpus);
+        Ok(Self {
+            registry,
+            corpus,
+            train,
+        })
+    }
+
+    /// Loads an engine over the registry with `config`.
+    fn engine(&self, config: EngineConfig) -> Result<ServingEngine, String> {
+        ServingEngine::load(&self.registry, &self.train, config).map_err(|e| e.to_string())
+    }
+
+    /// [`Deployment::engine`], then one `DEGRADED <slot>: <reason>` line
+    /// on stderr per slot the registry could not fill.
+    fn serve(&self, config: EngineConfig) -> Result<ServingEngine, String> {
+        let engine = self.engine(config)?;
+        for (slot, reason) in engine.degraded() {
+            eprintln!("DEGRADED {}: {reason}", slot.label());
+        }
+        Ok(engine)
+    }
+
+    /// `requests` users cycling through every user in index order, so a
+    /// cache sees realistic repeats.
+    fn cycled_users(&self, requests: usize) -> Vec<UserIdx> {
+        (0..requests)
+            .map(|i| UserIdx((i % self.train.n_users()) as u32))
+            .collect()
     }
 }
 
@@ -350,70 +399,54 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         let mode = mode.to_owned();
         return cmd_serve_loadgen(&flags, &mode);
     }
-    let registry = ArtifactRegistry::new(PathBuf::from(flags.required("artifacts")?));
-    let corpus = corpus_of(&flags)?;
-    let train = Interactions::from_corpus(&corpus);
+    let deployment = Deployment::open(&flags)?;
     let k: usize = flags.parse_num("k", 10)?;
     let requests: usize = flags.parse_num("requests", 2000)?;
     let cache_capacity: usize = flags.parse_num("cache", 4096)?;
-
-    // The request stream: all users, cycled until `requests` is reached,
-    // so the cache sees realistic repeats.
-    let users: Vec<UserIdx> = (0..requests)
-        .map(|i| UserIdx((i % train.n_users()) as u32))
-        .collect();
+    let users = deployment.cycled_users(requests);
 
     // One tracer shared by every engine the bench builds, so the JSONL
     // drain covers the whole run in one stream.
     let tracer = trace_sink(&flags);
-    let engine_with = |workers: usize| {
-        let config = EngineConfig::builder()
+    let config = |workers: usize| {
+        EngineConfig::builder()
             .workers(workers)
             .cache_capacity(cache_capacity)
             .tracer(Arc::clone(&tracer))
             .build()
-            .map_err(|e| e.to_string())?;
-        ServingEngine::load(&registry, &train, config).map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())
     };
 
-    let probe = engine_with(1)?;
+    // Single-call baseline: one thread, one request at a time.
+    let single = deployment.serve(config(1)?)?;
     println!(
         "serve-bench: {requests} requests over {} users, k={k}, epoch {}",
-        train.n_users(),
-        probe.epoch()
+        deployment.train.n_users(),
+        single.epoch()
     );
-    if probe.degraded().is_empty() {
-        println!("all model slots healthy");
-    } else {
-        for (slot, reason) in probe.degraded() {
-            println!("DEGRADED {}: {reason}", slot.label());
-        }
-    }
-
-    // Single-call baseline: one thread, one request at a time.
-    let single = engine_with(1)?;
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     for &u in &users {
         std::hint::black_box(single.recommend(u, k));
     }
     let single_qps = requests as f64 / t0.elapsed().as_secs_f64();
 
-    let mut table = reading_machine::util::report::Table::new(["mode", "req/s", "speedup"]);
+    let mut table = Table::new(["mode", "req/s", "speedup"]);
     table.push_row([
         "single".to_owned(),
-        reading_machine::util::report::fmt_f64(single_qps, 0),
+        fmt_f64(single_qps, 0),
         "1.00".to_owned(),
     ]);
     let mut four_worker_metrics = None;
     for workers in [1usize, 4, 8] {
-        let engine = engine_with(workers)?;
-        let t0 = std::time::Instant::now();
+        // A fresh engine per run, so each starts on a cold cache.
+        let engine = deployment.engine(config(workers)?)?;
+        let t0 = Instant::now();
         std::hint::black_box(engine.recommend_batch(&users, k));
         let qps = requests as f64 / t0.elapsed().as_secs_f64();
         table.push_row([
             format!("batch x{workers}"),
-            reading_machine::util::report::fmt_f64(qps, 0),
-            reading_machine::util::report::fmt_f64(qps / single_qps, 2),
+            fmt_f64(qps, 0),
+            fmt_f64(qps / single_qps, 2),
         ]);
         if workers == 4 {
             four_worker_metrics = Some(engine.metrics());
@@ -440,7 +473,6 @@ fn cmd_serve_loadgen(flags: &Flags, mode: &str) -> Result<(), String> {
     use reading_machine::serve::loadgen::{self, ArrivalMode, LoadgenConfig};
     use reading_machine::serve::overload::OverloadConfig;
     use reading_machine::util::clock::FakeClock;
-    use std::time::Duration;
 
     let arrivals = match mode {
         "smoke" | "open" => ArrivalMode::Open,
@@ -482,18 +514,16 @@ fn cmd_serve_loadgen(flags: &Flags, mode: &str) -> Result<(), String> {
         // byte-identical on every machine — that's what lets
         // BENCH_serve.json act as a committed gate.
         let h = Harness::generate(11, Preset::Tiny);
-        let train = h.split.train.clone();
-        let mut bpr = Bpr::new(BprConfig {
-            factors: 4,
-            epochs: 2,
-            ..BprConfig::default()
-        });
-        bpr.fit(&train);
-        let mut most_read = MostReadItems::new();
-        most_read.fit(&train);
-        let mut closest =
-            ClosestItems::from_corpus(&h.corpus, SummaryFields::BEST, EncoderConfig::default());
-        closest.fit(&train);
+        let suite = TrainedSuite::train(
+            &h,
+            BprConfig {
+                factors: 4,
+                epochs: 2,
+                ..BprConfig::default()
+            },
+            SummaryFields::BEST,
+            11,
+        );
         let dir = std::env::temp_dir().join(format!("rm-loadgen-smoke-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let registry = ArtifactRegistry::new(dir.clone());
@@ -503,9 +533,9 @@ fn cmd_serve_loadgen(flags: &Flags, mode: &str) -> Result<(), String> {
                     epoch: 1,
                     fields: SummaryFields::BEST,
                 },
-                bpr.model().ok_or("BPR failed to fit")?,
-                &most_read,
-                closest.store(),
+                suite.bpr.model().ok_or("BPR failed to fit")?,
+                &suite.most_read,
+                suite.closest.store(),
                 // No ANN or quant in the smoke registry:
                 // BENCH_serve.json's byte-identity gate pins the
                 // exact-scan f32 schedule.
@@ -531,24 +561,19 @@ fn cmd_serve_loadgen(flags: &Flags, mode: &str) -> Result<(), String> {
             .overload(overload)
             .build()
             .map_err(|e| e.to_string())?;
-        let engine = ServingEngine::load(&registry, &train, config).map_err(|e| e.to_string())?;
+        let engine =
+            ServingEngine::load(&registry, &h.split.train, config).map_err(|e| e.to_string())?;
         let report = loadgen::run(&engine, &schedule).map_err(|e| e.to_string())?;
         let _ = std::fs::remove_dir_all(&dir);
         report
     } else {
-        let registry = ArtifactRegistry::new(PathBuf::from(flags.required("artifacts")?));
-        let corpus = corpus_of(flags)?;
-        let train = Interactions::from_corpus(&corpus);
         let config = EngineConfig::builder()
             .workers(1)
             .cache_capacity(flags.parse_num("cache", 4096)?)
             .overload(OverloadConfig::default())
             .build()
             .map_err(|e| e.to_string())?;
-        let engine = ServingEngine::load(&registry, &train, config).map_err(|e| e.to_string())?;
-        for (slot, reason) in engine.degraded() {
-            eprintln!("DEGRADED {}: {reason}", slot.label());
-        }
+        let engine = Deployment::open(flags)?.serve(config)?;
         loadgen::run(&engine, &schedule).map_err(|e| e.to_string())?
     };
 
@@ -579,19 +604,12 @@ fn cmd_serve_loadgen(flags: &Flags, mode: &str) -> Result<(), String> {
 /// histogram with cumulative buckets, live breaker states).
 fn cmd_metrics_dump(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    let registry = ArtifactRegistry::new(PathBuf::from(flags.required("artifacts")?));
-    let corpus = corpus_of(&flags)?;
-    let train = Interactions::from_corpus(&corpus);
+    let deployment = Deployment::open(&flags)?;
     let k: usize = flags.parse_num("k", 10)?;
     let requests: usize = flags.parse_num("requests", 1000)?;
     let config = EngineConfig::builder().build().map_err(|e| e.to_string())?;
-    let engine = ServingEngine::load(&registry, &train, config).map_err(|e| e.to_string())?;
-    for (slot, reason) in engine.degraded() {
-        eprintln!("DEGRADED {}: {reason}", slot.label());
-    }
-    let users: Vec<UserIdx> = (0..requests)
-        .map(|i| UserIdx((i % train.n_users()) as u32))
-        .collect();
+    let engine = deployment.serve(config)?;
+    let users = deployment.cycled_users(requests);
     std::hint::black_box(engine.recommend_batch(&users, k));
     print!("{}", engine.metrics_prometheus());
     Ok(())
@@ -612,11 +630,8 @@ fn cmd_serve_chaos(_flags: &Flags, _plan: &str) -> Result<(), String> {
 #[cfg(feature = "testing")]
 fn cmd_serve_chaos(flags: &Flags, plan_name: &str) -> Result<(), String> {
     use reading_machine::serve::{CallWindow, FaultPlan};
-    use std::time::Duration;
 
-    let registry = ArtifactRegistry::new(PathBuf::from(flags.required("artifacts")?));
-    let corpus = corpus_of(flags)?;
-    let train = Interactions::from_corpus(&corpus);
+    let deployment = Deployment::open(flags)?;
     let k: usize = flags.parse_num("k", 10)?;
     let requests: usize = flags.parse_num("requests", 2000)?;
     // Cache off by default: a cache hit would mask the injected faults.
@@ -662,16 +677,13 @@ fn cmd_serve_chaos(flags: &Flags, plan_name: &str) -> Result<(), String> {
         builder = builder.slot_budget(budget);
     }
     let config = builder.build().map_err(|e| e.to_string())?;
-    let engine = ServingEngine::load_with_faults(&registry, &train, config, plan)
-        .map_err(|e| e.to_string())?;
-
-    let users: Vec<UserIdx> = (0..requests)
-        .map(|i| UserIdx((i % train.n_users()) as u32))
-        .collect();
+    let mut engine = deployment.serve(config)?;
+    engine.inject_faults(plan);
+    let users = deployment.cycled_users(requests);
     // Serve in small batches (as a kiosk frontend would) so the fault
     // counters see many slot calls and the breakers get to act.
     let batch: usize = flags.parse_num("batch", 64)?;
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let mut answered = 0usize;
     for part in users.chunks(batch.max(1)) {
         answered += engine
@@ -685,7 +697,7 @@ fn cmd_serve_chaos(flags: &Flags, plan_name: &str) -> Result<(), String> {
     let m = engine.metrics();
     println!(
         "serve-bench --chaos {plan_name}: {requests} requests over {} users, k={k}, {elapsed:.1?}",
-        train.n_users()
+        deployment.train.n_users()
     );
     println!(
         "availability {:.4} ({answered}/{requests} answered non-empty), worker panics {}",
@@ -707,29 +719,25 @@ fn cmd_serve_chaos(flags: &Flags, plan_name: &str) -> Result<(), String> {
 /// the provenance-backed reason behind every recommended title.
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    let registry = ArtifactRegistry::new(PathBuf::from(flags.required("artifacts")?));
-    let corpus = corpus_of(&flags)?;
-    let train = Interactions::from_corpus(&corpus);
+    let deployment = Deployment::open(&flags)?;
+    let corpus = &deployment.corpus;
     let user: u32 = flags
         .required("user")?
         .parse()
         .map_err(|_| "bad --user".to_owned())?;
     let k: usize = flags.parse_num("k", 10)?;
-    if user as usize >= train.n_users() {
+    if user as usize >= deployment.train.n_users() {
         return Err(format!(
             "user {user} out of range (corpus has {})",
-            train.n_users()
+            deployment.train.n_users()
         ));
     }
     // Genre lookup feeds genre-aware sources/filters; harmless otherwise.
     let config = EngineConfig::builder()
-        .book_genres(Arc::new(BookGenres::from_corpus(&corpus)))
+        .book_genres(Arc::new(BookGenres::from_corpus(corpus)))
         .build()
         .map_err(|e| e.to_string())?;
-    let engine = ServingEngine::load(&registry, &train, config).map_err(|e| e.to_string())?;
-    for (slot, reason) in engine.degraded() {
-        eprintln!("DEGRADED {}: {reason}", slot.label());
-    }
+    let engine = deployment.serve(config)?;
     let (top, explanations) = engine.recommend_explained(UserIdx(user), k);
     if top.is_empty() {
         println!("no recommendations for user {user} (every slot degraded?)");
@@ -752,59 +760,68 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `evaluate`: the paper's KPI comparison, on one path whether the corpus
+/// is read (`--corpus`) or generated (`--preset`/`--seed`). The split is
+/// seeded as [`Harness::generate`] seeds it and the suite is fitted by
+/// [`TrainedSuite::train`], so a corpus generated with `--seed S` gives
+/// the same answer either way. The stage table reads that same run: the
+/// corpus, the split, each model's fit time, and the evaluation.
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let k: usize = flags.parse_num("k", 20)?;
     let seed: u64 = flags.parse_num("seed", 42)?;
-    if flags.get("corpus").is_none() {
-        // No corpus on disk: run the whole timed pipeline, datagen
-        // through eval, and report the per-stage breakdown.
-        let preset = preset_of(&flags)?;
-        let result = run_timed_pipeline(
-            seed,
-            preset,
-            BprConfig::default(),
-            SummaryFields::BEST,
-            k,
-            Arc::new(MonotonicClock::new()),
-        );
-        println!("KPIs @{k} over {} test users:", result.kpis[0].n_users);
-        let names = ["Random Items", "Most Read Items", "Closest Items", "BPR"];
-        for (name, m) in names.iter().zip(&result.kpis) {
-            print_kpi_row(name, m);
-        }
-        println!("pipeline stages:");
-        println!("{}", result.timer.table().render());
-        return Ok(());
-    }
-    let corpus = load(&flags)?;
-    let mut timer = PipelineTimer::real();
-    let harness = timer.time("dataset_prep", || {
-        Harness::from_corpus(corpus, &SplitConfig::default())
-    });
-    let suite = TrainedSuite::train_timed(
-        &harness,
-        BprConfig::default(),
-        SummaryFields::BEST,
-        seed,
-        &mut timer,
-    );
+    let t0 = Instant::now();
+    let corpus = corpus_of(&flags)?;
+    let corpus_time = t0.elapsed();
+    let t0 = Instant::now();
+    let harness = Harness::split_seeded(corpus, seed);
+    let split_time = t0.elapsed();
+    let suite = TrainedSuite::train(&harness, BprConfig::default(), SummaryFields::BEST, seed);
+    let models: [&(dyn Recommender + Sync); 4] =
+        [&suite.random, &suite.most_read, &suite.closest, &suite.bpr];
     let cases = harness.test_cases();
+    let t0 = Instant::now();
+    let kpis = models.map(|rec| evaluate_parallel(rec, &cases, k, default_threads()));
+    let eval_time = t0.elapsed();
+
     println!("KPIs @{k} over {} test users:", cases.len());
-    timer.time("eval", || {
-        for rec in [
-            &suite.random as &(dyn Recommender + Sync),
-            &suite.most_read,
-            &suite.closest,
-            &suite.bpr,
-        ] {
-            let m = evaluate_parallel(rec, &cases, k, default_threads());
-            print_kpi_row(rec.name(), &m);
-        }
-    });
+    for (rec, m) in models.iter().zip(&kpis) {
+        print_kpi_row(rec.name(), m);
+    }
+    let mut stages = vec![
+        ("corpus".to_owned(), corpus_time),
+        ("split".to_owned(), split_time),
+    ];
+    stages.extend(
+        models
+            .iter()
+            .zip(suite.fit_times)
+            .map(|(rec, time)| (format!("fit {}", rec.name()), time)),
+    );
+    stages.push(("eval".to_owned(), eval_time));
     println!("pipeline stages:");
-    println!("{}", timer.table().render());
+    println!("{}", stage_table(&stages).render());
     Ok(())
+}
+
+/// Per-stage seconds and share of the total, with a total row.
+fn stage_table(stages: &[(String, Duration)]) -> Table {
+    let total: f64 = stages.iter().map(|(_, d)| d.as_secs_f64()).sum();
+    let mut t = Table::new(["stage", "seconds", "share"]);
+    for (stage, d) in stages {
+        let share = if total > 0.0 {
+            d.as_secs_f64() / total
+        } else {
+            0.0
+        };
+        t.push_row([
+            stage.clone(),
+            fmt_f64(d.as_secs_f64(), 3),
+            format!("{}%", fmt_f64(share * 100.0, 1)),
+        ]);
+    }
+    t.push_row(["total".to_owned(), fmt_f64(total, 3), "100.0%".to_owned()]);
+    t
 }
 
 fn print_kpi_row(name: &str, m: &reading_machine::eval::Kpis) {

@@ -177,12 +177,56 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A builder with typed defaults and validation — the preferred way
-    /// to construct a config (struct literals keep working for
-    /// backwards compatibility, but skip validation).
+    /// to construct a config.
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: Self::default(),
         }
+    }
+
+    /// The checks behind [`EngineConfigBuilder::build`]. [`ServingEngine::load`]
+    /// runs them too, so a config whose public fields were set after
+    /// building cannot load unchecked.
+    pub(crate) fn validate(&self) -> Result<(), RecError> {
+        if self.workers == 0 {
+            return Err(RecError::Config("workers must be >= 1".into()));
+        }
+        if self.chain.is_empty() {
+            return Err(RecError::Config(
+                "fallback chain must name at least one slot".into(),
+            ));
+        }
+        if self.pipeline.pool_size == 0 {
+            return Err(RecError::Config("pipeline pool_size must be >= 1".into()));
+        }
+        if self.pipeline.ann_nprobe == 0 {
+            return Err(RecError::Config("pipeline ann_nprobe must be >= 1".into()));
+        }
+        if let Some(sources) = &self.pipeline.sources {
+            if sources.is_empty() {
+                return Err(RecError::Config(
+                    "pipeline sources, when set, must name at least one slot".into(),
+                ));
+            }
+        }
+        if let Some(overload) = &self.overload {
+            if overload.queue_capacity == 0 {
+                return Err(RecError::Config(
+                    "overload queue_capacity must be >= 1".into(),
+                ));
+            }
+            if !(overload.ewma_alpha > 0.0 && overload.ewma_alpha <= 1.0) {
+                return Err(RecError::Config(
+                    "overload ewma_alpha must be in (0, 1]".into(),
+                ));
+            }
+            if overload.step_up > overload.step_down {
+                return Err(RecError::Config(
+                    "overload step_up must not exceed step_down (the gap is the hysteresis)".into(),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -320,48 +364,13 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// [`RecError::Config`] when `workers == 0`, the chain is empty,
-    /// `pool_size == 0`, or an explicit source list is empty.
+    /// `pool_size == 0`, `ann_nprobe == 0`, an explicit source list is
+    /// empty, or the overload config has `queue_capacity == 0`, an
+    /// `ewma_alpha` outside (0, 1], or `step_up > step_down`.
+    /// [`ServingEngine::load`] refuses such a config the same way.
     pub fn build(self) -> Result<EngineConfig, RecError> {
-        let config = self.config;
-        if config.workers == 0 {
-            return Err(RecError::Config("workers must be >= 1".into()));
-        }
-        if config.chain.is_empty() {
-            return Err(RecError::Config(
-                "fallback chain must name at least one slot".into(),
-            ));
-        }
-        if config.pipeline.pool_size == 0 {
-            return Err(RecError::Config("pipeline pool_size must be >= 1".into()));
-        }
-        if config.pipeline.ann_nprobe == 0 {
-            return Err(RecError::Config("pipeline ann_nprobe must be >= 1".into()));
-        }
-        if let Some(sources) = &config.pipeline.sources {
-            if sources.is_empty() {
-                return Err(RecError::Config(
-                    "pipeline sources, when set, must name at least one slot".into(),
-                ));
-            }
-        }
-        if let Some(overload) = &config.overload {
-            if overload.queue_capacity == 0 {
-                return Err(RecError::Config(
-                    "overload queue_capacity must be >= 1".into(),
-                ));
-            }
-            if !(overload.ewma_alpha > 0.0 && overload.ewma_alpha <= 1.0) {
-                return Err(RecError::Config(
-                    "overload ewma_alpha must be in (0, 1]".into(),
-                ));
-            }
-            if overload.step_up > overload.step_down {
-                return Err(RecError::Config(
-                    "overload step_up must not exceed step_down (the gap is the hysteresis)".into(),
-                ));
-            }
-        }
-        Ok(config)
+        self.config.validate()?;
+        Ok(self.config)
     }
 }
 
@@ -550,13 +559,15 @@ impl ServingEngine {
     /// interactions the artifacts were fitted on — rebuilt
     /// deterministically from the corpus, they are not part of the
     /// registry). Slot-level artifact failures degrade the chain and are
-    /// reported via [`ServingEngine::degraded`]; only a missing or
+    /// reported via [`ServingEngine::degraded`]; only a config that
+    /// [`EngineConfigBuilder::build`] would reject or a missing or
     /// unparsable manifest fails the load.
     pub fn load(
         registry: &ArtifactRegistry,
         train: &Interactions,
         config: EngineConfig,
     ) -> Result<Self, RecError> {
+        config.validate()?;
         let loaded = registry.load()?;
         let cache_capacity = config.cache_capacity;
         let random_seed = config.random_seed;

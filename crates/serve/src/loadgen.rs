@@ -25,7 +25,9 @@
 //!
 //! The resulting [`LoadReport`] carries latency quantiles, shed counts,
 //! availability (answered ÷ non-shed requests), brownout-level
-//! residency, and the [`SloSpec`] verdict.
+//! residency, and the [`SloSpec`] verdict. Its JSON says whether the
+//! latencies are simulated (the engine's overload config sets
+//! `service_cost`) or measured.
 
 use crate::engine::ServingEngine;
 use crate::overload::DegradationLevel;
@@ -90,8 +92,6 @@ pub struct LoadgenConfig {
     pub k: usize,
     /// Zipf exponent for the user popularity skew (1.0 ≈ classic Zipf).
     pub zipf_exponent: f64,
-    /// Zipf-Mandelbrot shift (0.0 for the classic law).
-    pub zipf_shift: f64,
     /// Seed for the user-draw RNG (the schedule is otherwise fixed).
     pub seed: u64,
     /// Baseline arrival rate, requests per second.
@@ -114,7 +114,6 @@ impl Default for LoadgenConfig {
             requests: 400,
             k: 10,
             zipf_exponent: 1.0,
-            zipf_shift: 0.0,
             seed: 42,
             base_rps: 200.0,
             phases: vec![1.0],
@@ -147,6 +146,11 @@ impl LoadgenConfig {
 pub struct LoadReport {
     /// Pacing mode the run used.
     pub mode: ArrivalMode,
+    /// Whether service time was simulated: the engine's
+    /// [`OverloadConfig::service_cost`](crate::overload::OverloadConfig::service_cost)
+    /// was set, so each serve slept the configured cost on the engine
+    /// clock and the latencies model a cost instead of measuring one.
+    pub simulated: bool,
     /// Requests issued.
     pub requests: u64,
     /// Requests that got a recommendation list.
@@ -213,6 +217,15 @@ impl LoadReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"mode\": \"{}\",", self.mode.label());
+        let _ = writeln!(
+            s,
+            "  \"latency_source\": \"{}\",",
+            if self.simulated {
+                "simulated"
+            } else {
+                "measured"
+            }
+        );
         let _ = writeln!(s, "  \"requests\": {},", self.requests);
         let _ = writeln!(s, "  \"answered\": {},", self.answered);
         let _ = writeln!(s, "  \"shed\": {},", self.shed);
@@ -302,12 +315,7 @@ impl LoadReport {
 /// [`RecError::Config`] when the engine has no overload governor.
 pub fn run(engine: &ServingEngine, cfg: &LoadgenConfig) -> Result<LoadReport, RecError> {
     let n_users = engine.n_users().max(1);
-    let zipf = if cfg.zipf_shift == 0.0 {
-        ZipfWeights::new(cfg.zipf_exponent)
-    } else {
-        ZipfWeights::with_shift(cfg.zipf_exponent, cfg.zipf_shift)
-    };
-    let alias = zipf.alias_table(n_users);
+    let alias = ZipfWeights::new(cfg.zipf_exponent).alias_table(n_users);
     let mut rng = rng_from_seed(cfg.seed);
     let clock = &engine.config().clock;
 
@@ -404,6 +412,11 @@ pub fn run(engine: &ServingEngine, cfg: &LoadgenConfig) -> Result<LoadReport, Re
     let snapshot = engine.metrics();
     Ok(LoadReport {
         mode: cfg.mode,
+        simulated: engine
+            .config()
+            .overload
+            .as_ref()
+            .is_some_and(|o| o.service_cost.is_some()),
         requests: issued as u64,
         answered,
         shed,
@@ -461,6 +474,7 @@ mod tests {
         }
         let report = LoadReport {
             mode: ArrivalMode::Open,
+            simulated: true,
             requests: 10,
             answered: 4,
             shed: 6,
@@ -482,6 +496,7 @@ mod tests {
         assert!(a.contains("\"availability\": 1"), "{a}");
         assert!(a.contains("\"max_level\": \"drop_expensive_sources\""));
         assert!(a.contains("\"met\": true"), "{a}");
+        assert!(a.contains("\"latency_source\": \"simulated\""), "{a}");
         assert!(report.render_summary().contains("SLO met"));
     }
 
@@ -491,6 +506,7 @@ mod tests {
         latency.record(Duration::from_millis(80).as_nanos() as u64);
         let report = LoadReport {
             mode: ArrivalMode::Closed,
+            simulated: false,
             requests: 2,
             answered: 1,
             shed: 0,
@@ -504,6 +520,8 @@ mod tests {
         // One admitted request never answered and p99 over budget.
         assert!(report.availability() < 0.999);
         assert!(!report.slo_met());
-        assert!(report.render_json().contains("\"met\": false"));
+        let json = report.render_json();
+        assert!(json.contains("\"met\": false"), "{json}");
+        assert!(json.contains("\"latency_source\": \"measured\""), "{json}");
     }
 }

@@ -158,7 +158,9 @@ pub struct LevelTransition {
     pub to: DegradationLevel,
 }
 
-/// Overload-control tuning knobs, validated by the engine builder.
+/// Overload-control tuning knobs, validated with the rest of the engine
+/// config by [`EngineConfigBuilder::build`](crate::engine::EngineConfigBuilder::build)
+/// and [`ServingEngine::load`](crate::engine::ServingEngine::load).
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
     /// Bounded admission-queue capacity; arrivals beyond it are shed.

@@ -26,9 +26,6 @@ pub struct FilterCtx<'a> {
 
 /// One business rule applied to the merged candidate pool.
 pub trait CandidateFilter: Send + Sync + fmt::Debug {
-    /// Short identifier for logs and diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Drops candidates from `pool` in place. The pool arrives in
     /// ascending book order (the merge stage's output order) and the
     /// relative order of survivors must be preserved.
@@ -42,10 +39,6 @@ pub trait CandidateFilter: Send + Sync + fmt::Debug {
 pub struct AlreadyBorrowedFilter;
 
 impl CandidateFilter for AlreadyBorrowedFilter {
-    fn name(&self) -> &'static str {
-        "already-borrowed"
-    }
-
     fn retain(&self, ctx: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
         pool.retain(|c| ctx.seen.binary_search(&c.book).is_err());
     }
@@ -71,10 +64,6 @@ impl DiversityCapFilter {
 }
 
 impl CandidateFilter for DiversityCapFilter {
-    fn name(&self) -> &'static str {
-        "diversity-cap"
-    }
-
     fn retain(&self, ctx: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
         let Some(genres) = ctx.genres else {
             return;

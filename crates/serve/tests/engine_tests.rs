@@ -9,11 +9,13 @@ use rm_dataset::interactions::Interactions;
 use rm_dataset::summary::SummaryFields;
 use rm_embed::EmbeddingStore;
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ModelSlot, ServingEngine};
+use rm_serve::overload::OverloadConfig;
 use rm_serve::pipeline::AlreadyBorrowedFilter;
 use rm_serve::registry::{ArtifactRegistry, Manifest, BPR_FILE, MOST_READ_FILE};
 use rm_sparse::DenseMatrix;
 use rm_util::RecError;
 use std::sync::Arc;
+use std::time::Duration;
 
 mod common;
 use common::{train_fixture, unique_dir, user_with_history, Fixture};
@@ -422,25 +424,93 @@ fn builder_defaults_match_config_default() {
     assert!(built.pipeline.filters.is_empty());
 }
 
+/// One nonsensical setting: as a builder call, as the same field set on
+/// a default config after construction, and a word the error must name.
+type BadSetting = (
+    fn(EngineConfigBuilder) -> EngineConfigBuilder,
+    fn(&mut EngineConfig),
+    &'static str,
+);
+
+fn zero_queue() -> OverloadConfig {
+    OverloadConfig {
+        queue_capacity: 0,
+        ..OverloadConfig::default()
+    }
+}
+
+fn zero_alpha() -> OverloadConfig {
+    OverloadConfig {
+        ewma_alpha: 0.0,
+        ..OverloadConfig::default()
+    }
+}
+
+fn inverted_hysteresis() -> OverloadConfig {
+    let default = OverloadConfig::default();
+    OverloadConfig {
+        step_up: default.step_down + Duration::from_millis(1),
+        ..default
+    }
+}
+
 #[test]
 fn builder_rejects_nonsensical_configs() {
-    let cases: [(EngineConfigBuilder, &str); 4] = [
-        (EngineConfig::builder().workers(0), "workers"),
-        (EngineConfig::builder().chain(Vec::new()), "chain"),
-        (EngineConfig::builder().pool_size(0), "pool_size"),
+    let cases: [BadSetting; 8] = [
+        (|b| b.workers(0), |c| c.workers = 0, "workers"),
+        (|b| b.chain(Vec::new()), |c| c.chain = Vec::new(), "chain"),
         (
-            EngineConfig::builder().pipeline_sources(Vec::new()),
+            |b| b.pool_size(0),
+            |c| c.pipeline.pool_size = 0,
+            "pool_size",
+        ),
+        (
+            |b| b.ann_nprobe(0),
+            |c| c.pipeline.ann_nprobe = 0,
+            "ann_nprobe",
+        ),
+        (
+            |b| b.pipeline_sources(Vec::new()),
+            |c| c.pipeline.sources = Some(Vec::new()),
             "sources",
         ),
+        (
+            |b| b.overload(zero_queue()),
+            |c| c.overload = Some(zero_queue()),
+            "queue_capacity",
+        ),
+        (
+            |b| b.overload(zero_alpha()),
+            |c| c.overload = Some(zero_alpha()),
+            "ewma_alpha",
+        ),
+        (
+            |b| b.overload(inverted_hysteresis()),
+            |c| c.overload = Some(inverted_hysteresis()),
+            "step_up",
+        ),
     ];
-    for (builder, what) in cases {
-        match builder.build() {
+    let fx = train_fixture("rejects-nonsense");
+    for (set, set_field, what) in cases {
+        match set(EngineConfig::builder()).build() {
             Err(RecError::Config(msg)) => {
                 assert!(msg.contains(what), "{what}: unexpected message {msg}");
             }
             other => panic!("{what}: expected RecError::Config, got {other:?}"),
         }
+        // Setting the public field after construction skips the builder,
+        // but not the check: the engine refuses to load the config.
+        let mut config = EngineConfig::default();
+        set_field(&mut config);
+        match ServingEngine::load(&fx.registry, &fx.train, config) {
+            Err(RecError::Config(msg)) => {
+                assert!(msg.contains(what), "{what}: unexpected message {msg}");
+            }
+            Err(e) => panic!("{what}: load expected RecError::Config, got {e:?}"),
+            Ok(_) => panic!("{what}: load accepted the config"),
+        }
     }
+    let _ = std::fs::remove_dir_all(fx.registry.dir());
 }
 
 #[test]

@@ -225,6 +225,37 @@ fn open_loop_burst_sheds_degrades_and_recovers() {
     let _ = std::fs::remove_dir_all(fx.registry.dir());
 }
 
+/// Closed-loop pacing offers the next request only after the previous
+/// answer, so nothing ever waits in the queue: nothing is shed, the
+/// ladder stays at `full`, every request is answered, and the slowest
+/// answer took exactly the `full` level's simulated service cost.
+#[test]
+fn closed_loop_never_queues_or_degrades() {
+    let fx = train_fixture("closed-loop");
+    let clock = Arc::new(FakeClock::new());
+    let engine = engine_of(
+        &fx,
+        builder(&clock)
+            .overload(storm_overload())
+            .build()
+            .expect("valid config"),
+    );
+    let schedule = LoadgenConfig {
+        mode: ArrivalMode::Closed,
+        ..burst_schedule()
+    };
+    let report = loadgen::run(&engine, &schedule).expect("loadgen runs");
+    assert_eq!(report.shed, 0, "{}", report.render_summary());
+    assert_eq!(report.max_level, DegradationLevel::Full);
+    assert_eq!(report.answered, report.requests);
+    assert_eq!(report.requests, 400);
+    assert_eq!(
+        u128::from(report.latency.max()),
+        simulated_costs()[0].as_nanos()
+    );
+    let _ = std::fs::remove_dir_all(fx.registry.dir());
+}
+
 /// An open-loop generator that falls behind stamps each request with
 /// its due time, so the reported latency includes the lateness. With a
 /// flat 5 ms service cost, requests due at 0 and 1 ms are answered at 5

@@ -72,10 +72,6 @@ impl Fixture {
 struct DropAll;
 
 impl CandidateFilter for DropAll {
-    fn name(&self) -> &'static str {
-        "drop-all"
-    }
-
     fn retain(&self, _: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
         pool.clear();
     }

@@ -98,7 +98,7 @@ cargo test -q -p rm-serve merge
 echo "==> kernel benches (smoke mode: exercises every kernel, timings noisy)"
 cargo run --release -q -p rm-bench --bin kernel-bench -- --smoke --out /tmp/kernel-bench-smoke.json
 
-echo "==> deploy workflow smoke (train --out publishes a registry, explain serves from it)"
+echo "==> deploy workflow smoke (train --out publishes a registry, explain serves from it; evaluate takes one path)"
 # The one route from training to a reader: a Tiny-preset registry trained
 # into a temp dir must load into the serving engine and answer user 0.
 DEPLOY_DIR=$(mktemp -d)
@@ -109,6 +109,32 @@ cargo run --release -q -p reading-machine -- \
     | tee "$DEPLOY_DIR/explain.txt"
 if ! grep -q "^top-5 for user 0" "$DEPLOY_DIR/explain.txt"; then
     echo "explain printed no top-5 header for user 0" >&2
+    exit 1
+fi
+# evaluate takes one path: a corpus generated in process and the same
+# corpus written by `generate` and read back through --corpus must print
+# identical KPI rows, and each stage table must carry a fit row per model.
+cargo run --release -q -p reading-machine -- \
+    generate --preset tiny --seed 99 --out "$DEPLOY_DIR/corpus"
+cargo run --release -q -p reading-machine -- \
+    evaluate --preset tiny --seed 99 --k 10 > "$DEPLOY_DIR/eval-generated.txt"
+cargo run --release -q -p reading-machine -- \
+    evaluate --corpus "$DEPLOY_DIR/corpus" --seed 99 --k 10 > "$DEPLOY_DIR/eval-read.txt"
+for f in eval-generated.txt eval-read.txt; do
+    grep -E '^(KPIs @|  [A-Z])' "$DEPLOY_DIR/$f" > "$DEPLOY_DIR/$f.kpis" || true
+    if [ "$(wc -l < "$DEPLOY_DIR/$f.kpis")" -ne 5 ]; then
+        echo "evaluate ($f) printed no header and four KPI rows" >&2
+        exit 1
+    fi
+    for model in "Random Items" "Most Read Items" "Closest Items" "BPR"; do
+        if ! grep -q "^fit $model " "$DEPLOY_DIR/$f"; then
+            echo "evaluate's stage table ($f) has no fit row for $model" >&2
+            exit 1
+        fi
+    done
+done
+if ! diff "$DEPLOY_DIR/eval-generated.txt.kpis" "$DEPLOY_DIR/eval-read.txt.kpis"; then
+    echo "evaluate gave a generated corpus and the same corpus read back different KPIs" >&2
     exit 1
 fi
 rm -rf "$DEPLOY_DIR"
