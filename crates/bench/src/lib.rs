@@ -19,7 +19,7 @@
 use rm_core::bpr::BprConfig;
 use rm_datagen::Preset;
 use rm_dataset::summary::SummaryFields;
-use rm_eval::harness::{Harness, TrainedSuite};
+use rm_eval::harness::{paper_bpr_config, Harness, TrainedSuite};
 use rm_util::rng::derive_seed;
 use std::path::{Path, PathBuf};
 
@@ -86,20 +86,18 @@ impl Options {
         Ok(Some(Self { preset, seed, out }))
     }
 
-    /// The paper's operating point for BPR, scaled to the preset (fewer
-    /// epochs below paper scale keep quick runs quick).
+    /// The paper's operating point for BPR ([`paper_bpr_config`]), scaled
+    /// to the preset (fewer epochs below paper scale keep quick runs
+    /// quick).
     #[must_use]
     pub fn bpr_config(&self) -> BprConfig {
+        let paper = paper_bpr_config(self.seed);
         let epochs = match self.preset {
-            Preset::PaperX100 | Preset::Paper => 15,
+            Preset::PaperX100 | Preset::Paper => return paper,
             Preset::Medium => 12,
             Preset::Tiny => 8,
         };
-        BprConfig {
-            epochs,
-            seed: rm_util::rng::derive_seed_str(self.seed, "bpr"),
-            ..BprConfig::default()
-        }
+        BprConfig { epochs, ..paper }
     }
 
     /// Builds the experiment context (generates the corpus and the split).
@@ -233,5 +231,17 @@ mod tests {
             .bpr_config();
         assert!(paper.epochs > tiny.epochs);
         assert_eq!(paper.factors, 20);
+    }
+
+    #[test]
+    fn paper_preset_fits_the_config_evaluate_fits() {
+        for seed in [7u64, 42] {
+            let seed_arg = seed.to_string();
+            let paper = Options::parse(&args(&["--preset", "paper", "--seed", &seed_arg]))
+                .unwrap()
+                .unwrap()
+                .bpr_config();
+            assert_eq!(paper, paper_bpr_config(seed), "seed {seed}");
+        }
     }
 }

@@ -126,6 +126,20 @@ impl Harness {
     }
 }
 
+/// BPR at the paper's operating point: 15 epochs from an initialisation
+/// seed derived from the run's `seed`, every other hyper-parameter at its
+/// [`BprConfig::default`]. `reading-machine evaluate` fits it, and so do
+/// the `repro-*` binaries at the paper preset, so both print the same
+/// BPR row for the same corpus and split.
+#[must_use]
+pub fn paper_bpr_config(seed: u64) -> BprConfig {
+    BprConfig {
+        epochs: 15,
+        seed: rm_util::rng::derive_seed_str(seed, "bpr"),
+        ..BprConfig::default()
+    }
+}
+
 /// The recommenders of Table 1, trained once and shared across
 /// experiments.
 pub struct TrainedSuite {

@@ -41,6 +41,7 @@
 
 use reading_machine::dataset::io::{load_corpus, save_corpus};
 use reading_machine::dataset::stats::{genre_shares, summarize};
+use reading_machine::eval::harness::paper_bpr_config;
 use reading_machine::eval::metrics::{default_threads, evaluate_parallel};
 use reading_machine::prelude::*;
 use reading_machine::util::clock::MonotonicClock;
@@ -763,9 +764,11 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 /// `evaluate`: the paper's KPI comparison, on one path whether the corpus
 /// is read (`--corpus`) or generated (`--preset`/`--seed`). The split is
 /// seeded as [`Harness::generate`] seeds it and the suite is fitted by
-/// [`TrainedSuite::train`], so a corpus generated with `--seed S` gives
-/// the same answer either way. The stage table reads that same run: the
-/// corpus, the split, each model's fit time, and the evaluation.
+/// [`TrainedSuite::train`] with BPR at [`paper_bpr_config`], so a corpus
+/// generated with `--seed S` gives the same answer either way, and the
+/// paper preset the same rows as `repro-table1`. The stage table reads
+/// that same run: the corpus, the split, each model's fit time, and the
+/// evaluation.
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let k: usize = flags.parse_num("k", 20)?;
@@ -776,7 +779,8 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let t0 = Instant::now();
     let harness = Harness::split_seeded(corpus, seed);
     let split_time = t0.elapsed();
-    let suite = TrainedSuite::train(&harness, BprConfig::default(), SummaryFields::BEST, seed);
+    let bpr = paper_bpr_config(seed);
+    let suite = TrainedSuite::train(&harness, bpr, SummaryFields::BEST, seed);
     let models: [&(dyn Recommender + Sync); 4] =
         [&suite.random, &suite.most_read, &suite.closest, &suite.bpr];
     let cases = harness.test_cases();

@@ -6,7 +6,9 @@
 //! pipeline (sources → merge → filters → rank, see [`crate::pipeline`]):
 //! the configured [`CandidateSource`]s emit provenance-stamped
 //! candidate pools, the pools are merged and filtered, and the primary
-//! source's model re-scores the survivors down to top-k. Users the
+//! source's model re-scores the survivors down to top-k (behind a
+//! primary that retrieves exhaustively, the other sources run only for
+//! the users it leaves short of k). Users the
 //! pipeline could not serve — every source degraded, breaker-open,
 //! panicking, or simply empty-handed — go to the pipeline's terminal
 //! stage: the remaining fallback-chain slots (default BPR → Closest
@@ -1017,6 +1019,23 @@ impl ServingEngine {
         })
     }
 
+    /// Whether `slot`'s pipeline source, as [`Self::slot_source`]
+    /// installs it, emits its exact top `n` under the scores the rank
+    /// stage ranks by, ties toward the lower index: BPR (f32 or
+    /// quantized rows, which it scans with the rank stage's row dot) and
+    /// Closest Items when no IVF index is installed, and Most Read (its
+    /// f32 scores order exactly as its read counts below 2^24). An IVF
+    /// probe can miss books a later source finds, and Random's shuffle
+    /// is not the order of its hash scores.
+    fn exhaustive(&self, slot: ModelSlot) -> bool {
+        match slot {
+            ModelSlot::Bpr => self.ann.cf.is_none(),
+            ModelSlot::ClosestItems => self.ann.content.is_none(),
+            ModelSlot::MostRead => true,
+            ModelSlot::Random => false,
+        }
+    }
+
     /// Asks `slot`'s breaker to admit a call, folding any state
     /// transition into the chunk stats. Always true with breakers off.
     fn breaker_admit(&self, slot: ModelSlot, stats: &mut ChunkStats) -> bool {
@@ -1236,12 +1255,22 @@ impl ServingEngine {
     /// capture. The chunk runs the pipeline in three stages, every slot
     /// call inside the one fault envelope (`run_slot`):
     ///
-    /// 1. **Sources** — each of the plan's source slots gets one attempt
-    ///    over the whole chunk;
+    /// 1. **Sources** — the plan's source slots are tried in order over
+    ///    the whole chunk, one attempt each. The first that emits is the
+    ///    primary. When the primary retrieves exhaustively (its emission
+    ///    is its exact top-`pool_size` under the rank stage's scores:
+    ///    BPR or Closest Items with no IVF index, or Most Read), the
+    ///    later sources are held back;
     /// 2. **Merge → filters → rank** — per user, the emissions are
-    ///    pooled (first-source-wins provenance), pruned by the
-    ///    configured filters, and re-scored by the primary source's
-    ///    model down to top-k;
+    ///    pooled best-first (first-source-wins provenance), pruned by
+    ///    the configured filters, and re-scored by the primary source's
+    ///    model down to top-k. Users whose answer comes out shorter than
+    ///    k then get the held-back sources, all at once, and are merged,
+    ///    filtered and ranked again over every emission. For every other
+    ///    user the answer is what running every source would give: each
+    ///    book a later source adds ranks below every primary book, and
+    ///    the filters only look backwards, so the filtered primary pool
+    ///    stays the prefix that holds the top-k (DESIGN.md §15);
     /// 3. **Terminals** — users the pipeline could not serve try the
     ///    plan's terminal slots in order, each slot's exact-scan source
     ///    answering with its own top-k (one attempt per slot per chunk).
@@ -1315,13 +1344,23 @@ impl ServingEngine {
         let mut expired = false;
 
         // ---- Stage 1: candidate sources fan out ------------------------
+        // The primary is the first source that emits. Behind a primary
+        // that retrieves exhaustively, the later sources wait in `later`
+        // for the users stage 2 finds short of k.
         let pool_size = self.config.pipeline.pool_size.max(k);
         let mut emitted: Vec<(ModelSlot, Vec<Vec<Candidate>>)> = Vec::new();
+        let mut later: &[ModelSlot] = &[];
         if !remaining.is_empty() && !plan.sources.is_empty() {
             let pending: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
-            for &slot in &plan.sources {
+            for (s, &slot) in plan.sources.iter().enumerate() {
                 match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
-                    SlotRun::Emitted(candidates) => emitted.push((slot, candidates)),
+                    SlotRun::Emitted(candidates) => {
+                        emitted.push((slot, candidates));
+                        if emitted.len() == 1 && self.exhaustive(slot) {
+                            later = &plan.sources[s + 1..];
+                            break;
+                        }
+                    }
                     SlotRun::FellThrough => {}
                     SlotRun::Expired => {
                         expired = true;
@@ -1350,64 +1389,102 @@ impl ServingEngine {
             let mut top = TopK::new(1);
             let mut ranked: Vec<u32> = Vec::new();
             let mut still_empty = Vec::new();
-            for (j, &i) in remaining.iter().enumerate() {
-                merge_into(
-                    emitted.iter().map(|(_, per_user)| per_user[j].as_slice()),
-                    &mut pool,
-                );
-                let user = users[i];
-                let ctx = FilterCtx {
-                    user,
-                    seen: self.train.seen(user),
-                    genres,
-                };
-                if plan.filters {
-                    for filter in &self.config.pipeline.filters {
-                        filter.retain(&ctx, &mut pool);
+            // The first round ranks every pending user over stage 1's
+            // emissions. The second runs only when sources wait in
+            // `later`: they emit for the users the first round left short
+            // of k (`second`, positions into `remaining`), and those
+            // users are ranked again over every emission; `extra[e][s]`
+            // is the e-th later source's emission for the round's s-th
+            // user.
+            let mut second: Option<Vec<usize>> = None;
+            let mut extra: Vec<Vec<Vec<Candidate>>> = Vec::new();
+            loop {
+                let round = second.as_deref();
+                let mut short = Vec::new();
+                for s in 0..round.map_or(remaining.len(), <[usize]>::len) {
+                    let j = round.map_or(s, |round| round[s]);
+                    let i = remaining[j];
+                    merge_into(
+                        emitted
+                            .iter()
+                            .map(|(_, per_user)| per_user[j].as_slice())
+                            .chain(extra.iter().map(|per_user| per_user[s].as_slice())),
+                        &mut pool,
+                    );
+                    let user = users[i];
+                    let ctx = FilterCtx {
+                        user,
+                        seen: self.train.seen(user),
+                        genres,
+                    };
+                    if plan.filters {
+                        for filter in &self.config.pipeline.filters {
+                            filter.retain(&ctx, &mut pool);
+                        }
                     }
-                }
-                let ranked_ok = match (quant_cf, scorer) {
-                    (Some((qu, qi)), _) => {
-                        let urow = qu.row(user.index());
-                        rank_pool_into(
-                            &pool,
-                            k,
-                            |b| qi.row(b as usize).dot(&urow),
-                            &mut top,
-                            &mut ranked,
-                        );
-                        !ranked.is_empty()
-                    }
-                    (None, Some(model)) => {
-                        rank_pool_into(
+                    match (quant_cf, scorer) {
+                        (Some((qu, qi)), _) => {
+                            let urow = qu.row(user.index());
+                            rank_pool_into(
+                                &pool,
+                                k,
+                                |b| qi.row(b as usize).dot(&urow),
+                                &mut top,
+                                &mut ranked,
+                            );
+                        }
+                        (None, Some(model)) => rank_pool_into(
                             &pool,
                             k,
                             |b| model.score(user, BookIdx(b)),
                             &mut top,
                             &mut ranked,
-                        );
-                        !ranked.is_empty()
+                        ),
+                        // The primary model vanished.
+                        (None, None) => ranked.clear(),
                     }
-                    (None, None) => false,
-                };
-                if !ranked_ok {
-                    // Empty pool, everything filtered out, or the primary
-                    // model vanished: the terminal stage gets another
-                    // shot at this user.
-                    still_empty.push(i);
-                    continue;
+                    if !later.is_empty() && ranked.len() < k.max(1) {
+                        short.push(j);
+                        continue;
+                    }
+                    if ranked.is_empty() {
+                        // Empty pool, everything filtered out, or no
+                        // scorer: the terminal stage gets another shot
+                        // at this user.
+                        still_empty.push(i);
+                        continue;
+                    }
+                    // Attribute the serve to the slot whose source proposed
+                    // the winning (top-ranked) book.
+                    let winner = pool.iter().find(|c| c.book == ranked[0]).map(|c| c.source);
+                    stats.served[winner.map_or(primary, SourceId::slot).index()] += 1;
+                    if let Some(ex) = explain.as_deref_mut() {
+                        ex[i] = ranked
+                            .iter()
+                            .filter_map(|&b| pool.iter().find(|c| c.book == b).copied())
+                            .collect();
+                    }
+                    out[i] = Some(std::mem::take(&mut ranked));
                 }
-                // Attribute the serve to the slot whose source proposed
-                // the winning (top-ranked) book.
-                let winner = pool.iter().find(|c| c.book == ranked[0]).map(|c| c.source);
-                stats.served[winner.map_or(primary, SourceId::slot).index()] += 1;
-                if let Some(ex) = explain.as_deref_mut() {
-                    ex[i] = ranked
-                        .iter()
-                        .filter_map(|&b| pool.iter().find(|c| c.book == b).copied())
-                        .collect();
+                if short.is_empty() {
+                    break;
                 }
-                out[i] = Some(std::mem::take(&mut ranked));
+                let pending: Vec<UserIdx> = short.iter().map(|&j| users[remaining[j]]).collect();
+                for &slot in std::mem::take(&mut later) {
+                    match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
+                        SlotRun::Emitted(candidates) => extra.push(candidates),
+                        SlotRun::FellThrough => {}
+                        SlotRun::Expired => {
+                            expired = true;
+                            break;
+                        }
+                    }
+                }
+                if expired {
+                    still_empty.extend(short.iter().map(|&j| remaining[j]));
+                    break;
+                }
+                second = Some(short);
             }
             remaining = still_empty;
         }

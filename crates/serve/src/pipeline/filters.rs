@@ -2,12 +2,17 @@
 //!
 //! After merge/dedup, each [`CandidateFilter`] gets one in-place pass
 //! over the pooled candidates (`Vec::retain`-style), in the order the
-//! filters were configured. Filters are pure functions of the
-//! [`FilterCtx`] and the pool — no I/O, no clock — so a fixed
-//! configuration filters identically on every run (DESIGN.md §15).
-//! A filter that lacks its inputs (e.g. the diversity cap with no
-//! [`BookGenres`] configured) must degrade to a no-op rather than
-//! guess.
+//! filters were configured. The pool arrives best-first (see
+//! [`crate::pipeline::merge`]), and a filter only looks backwards: it
+//! keeps its survivors in order, and its verdict on a candidate depends
+//! only on the candidates before it. So filtering a pool that grew at
+//! its end leaves the filtered old pool as the prefix, which is what
+//! lets the engine run the secondary sources only for the users the
+//! primary cannot fill (DESIGN.md §15). Filters are pure functions of
+//! the [`FilterCtx`] and the pool — no I/O, no clock — so a fixed
+//! configuration filters identically on every run. A filter that lacks
+//! its inputs (e.g. the diversity cap with no [`BookGenres`]
+//! configured) must degrade to a no-op rather than guess.
 
 use super::sources::{BookGenres, Candidate};
 use rm_dataset::ids::UserIdx;
@@ -26,9 +31,10 @@ pub struct FilterCtx<'a> {
 
 /// One business rule applied to the merged candidate pool.
 pub trait CandidateFilter: Send + Sync + fmt::Debug {
-    /// Drops candidates from `pool` in place. The pool arrives in
-    /// ascending book order (the merge stage's output order) and the
-    /// relative order of survivors must be preserved.
+    /// Drops candidates from `pool` in place. The pool arrives
+    /// best-first (the merge stage's output order). The relative order
+    /// of survivors must be preserved, and whether a candidate survives
+    /// may depend only on the candidates before it in the pool.
     fn retain(&self, ctx: &FilterCtx<'_>, pool: &mut Vec<Candidate>);
 }
 
@@ -45,11 +51,12 @@ impl CandidateFilter for AlreadyBorrowedFilter {
 }
 
 /// Caps how many candidates any single primary genre may contribute, so
-/// one dominant genre cannot crowd the pool. The pool arrives in
-/// ascending book order, so the surviving books per genre are the
-/// lowest-indexed ones — deterministic by construction. Books with no
-/// primary genre share one "unknown" bucket. No-op when the engine has
-/// no [`BookGenres`] configured.
+/// one dominant genre cannot crowd the pool. The pool arrives
+/// best-first, so the survivors of each genre are its first
+/// `max_per_genre` candidates in pool order: the primary source's
+/// best-ranked ones, then the later sources' first new books. Books with
+/// no primary genre share one "unknown" bucket. No-op when the engine
+/// has no [`BookGenres`] configured.
 #[derive(Debug, Clone, Copy)]
 pub struct DiversityCapFilter {
     max_per_genre: usize,
@@ -113,15 +120,15 @@ mod tests {
     }
 
     #[test]
-    fn diversity_cap_keeps_lowest_indices_per_genre() {
+    fn diversity_cap_keeps_first_c_per_genre_in_pool_order() {
         let g = genres();
-        let mut pool = vec![cand(0), cand(1), cand(2), cand(3)];
+        let mut pool = vec![cand(2), cand(3), cand(0), cand(4), cand(1)];
         DiversityCapFilter::new(2).retain(&ctx(&[], Some(&g)), &mut pool);
         let books: Vec<u32> = pool.iter().map(|c| c.book).collect();
         assert_eq!(
             books,
-            vec![0, 1, 3],
-            "genre 0 capped at two, genre 1 untouched"
+            vec![2, 3, 0, 4],
+            "genre 0 keeps its first two in pool order, not its lowest indices"
         );
     }
 }

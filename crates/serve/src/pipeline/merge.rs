@@ -2,26 +2,29 @@
 //!
 //! Stage two of the serving pipeline: the per-source candidate lists
 //! from [`crate::pipeline::sources`] are pooled into one deduplicated
-//! list in ascending book order, regardless of how many sources ran or
-//! in which order their emissions arrive — a hard determinism
-//! requirement (DESIGN.md §15). When two sources propose the same book
-//! the *first* proposal in emission order wins, so the explanation a
-//! reader sees always names the highest-priority signal that suggested
-//! the book.
+//! list that keeps the *first* proposal of each book in emission order,
+//! and keeps those proposals in that order. The pool therefore arrives
+//! best-first: the primary source's candidates in its own rank order,
+//! then each later source's new books in its order (DESIGN.md §15). A
+//! book two sources propose keeps the earlier source's provenance, so
+//! the explanation a reader sees always names the highest-priority
+//! signal that suggested the book.
 //!
 //! The emissions are concatenated into the pool, and each candidate gets
 //! one `u64` key, `book << 32 | position`. Sorting the keys orders them by
 //! book, then by position, so the first key of each book names the
-//! candidate that survives; the survivors are then gathered to the front
-//! of the pool in key order. Sorting 8-byte keys instead of the 24-byte
-//! candidates is what keeps the merge cheap next to the sources' scans.
+//! candidate that survives; that position is marked in a bitmap over the
+//! pool, and the marked candidates are compacted to the front in position
+//! order. Keys and bitmap share one buffer of `pool + pool / 64` words,
+//! whatever the book indices, so the merge stays cheap next to the
+//! sources' scans.
 
 use super::sources::Candidate;
 
 /// Merges per-source emissions for one user into `pool`, deduplicating
 /// by book with first-source-wins provenance. `pool` is cleared and
-/// refilled in ascending book order; reused across calls, it allocates
-/// only the key buffer.
+/// refilled with the first proposal of each book, in emission order;
+/// reused across calls, it allocates only the key buffer.
 pub fn merge_into<'a, I>(emissions: I, pool: &mut Vec<Candidate>)
 where
     I: IntoIterator<Item = &'a [Candidate]>,
@@ -30,35 +33,34 @@ where
     for emission in emissions {
         pool.extend_from_slice(emission);
     }
+    let n = pool.len();
     // A position fits the low word: a pool of 2^32 candidates would
-    // need 96 GiB.
-    let mut keys: Vec<u64> = pool
+    // need 96 GiB. The bitmap's words follow the keys, zeroed.
+    let mut scratch: Vec<u64> = pool
         .iter()
         .zip(0u32..)
         .map(|(c, at)| u64::from(c.book) << 32 | u64::from(at))
+        .chain(std::iter::repeat_n(0, n.div_ceil(64)))
         .collect();
+    let (keys, first) = scratch.split_at_mut(n);
     keys.sort_unstable();
-    // In-place gather of the first key of each book. Slot `kept` takes
-    // the candidate from position `at`, and the candidate it held moves
-    // to `at`; `keys[kept]` (already read) records that move. A wanted
-    // position below `kept` was such a slot, so its candidate is found
-    // by following the recorded moves, which only go forward.
-    let mut kept = 0;
     let mut last = None;
-    for j in 0..keys.len() {
-        let key = keys[j];
+    for &key in keys.iter() {
         let book = (key >> 32) as u32;
-        if last == Some(book) {
-            continue;
+        if last != Some(book) {
+            last = Some(book);
+            let at = key as u32 as usize;
+            first[at / 64] |= 1 << (at % 64);
         }
-        last = Some(book);
-        let mut at = key as u32 as usize;
-        while at < kept {
-            at = keys[at] as usize;
+    }
+    // A kept candidate moves only toward the front, onto a position
+    // already read.
+    let mut kept = 0;
+    for at in 0..n {
+        if first[at / 64] >> (at % 64) & 1 == 1 {
+            pool[kept] = pool[at];
+            kept += 1;
         }
-        pool.swap(kept, at);
-        keys[kept] = at as u64;
-        kept += 1;
     }
     pool.truncate(kept);
 }
@@ -77,7 +79,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_dedups_and_sorts_by_book() {
+    fn merge_dedups_in_emission_order() {
         let a = [
             cand(5, SourceId::CfNeighbours),
             cand(2, SourceId::CfNeighbours),
@@ -86,7 +88,8 @@ mod tests {
         let mut pool = vec![cand(99, SourceId::MostRead)]; // stale content is cleared
         merge_into([a.as_slice(), b.as_slice()], &mut pool);
         let books: Vec<u32> = pool.iter().map(|c| c.book).collect();
-        assert_eq!(books, vec![2, 5, 9]);
+        assert_eq!(books, vec![5, 2, 9], "first source's order, then new books");
+        assert_eq!(pool[1].source, SourceId::CfNeighbours);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   proposed the book, and why), one type per signal, with IVF
 //!   retrieval and quantized scoring as builder steps;
 //! * [`merge`] — deterministic pooling, deduplicated by book index with
-//!   first-source-wins provenance;
+//!   first-source-wins provenance, best-first: the primary's candidates
+//!   in its rank order, then each later source's new books;
 //! * [`filters`] — [`CandidateFilter`] business rules pruning the pool
-//!   in place;
+//!   in place, each verdict looking only at the candidates before it;
 //! * [`rank`] — the pooled survivors are re-scored by the primary
 //!   source's model and reduced to top-k with the same deterministic
 //!   [`rm_util::TopK`] selector the recommenders use;
@@ -28,6 +29,13 @@
 //!   source ([`CfNeighboursSource`], [`ContentSimilarSource`],
 //!   [`MostReadSource`], or [`FallbackSource`] for Random) answering
 //!   its own top-k, re-stamped [`SourceId::Fallback`].
+//!
+//! When the primary source retrieves exhaustively (its emission is its
+//! exact top-`pool_size` under the rank stage's scores), the engine runs
+//! the secondary sources only for the users whose ranked answer comes
+//! out shorter than k: for every other user a secondary's books would
+//! rank below the primary's and, the filters looking backwards, could
+//! not reach the top-k (DESIGN.md §15).
 //!
 //! The engine runs every slot call, source or terminal, inside one
 //! fault envelope: the per-slot circuit breaker, panic isolation, and

@@ -2,12 +2,14 @@
 //!
 //! Reuses the deterministic [`TopK`] selector that backs
 //! `rank_by_scores_into` (rm-core), with the same contract: ties break
-//! toward the lower book index, and because the merged pool arrives in
-//! ascending book order (see [`crate::pipeline::merge`]) pushing it
-//! front-to-back reproduces exactly the order a full-catalogue
-//! `rank_by_scores` walk would have produced when restricted to the
-//! pool. That identity is what makes the default pipeline bit-identical
-//! to the legacy fallback chain (DESIGN.md §15).
+//! toward the lower book index whatever order the pool is pushed in,
+//! because [`TopK`]'s packed keys order by score, then by inverted
+//! index. So ranking the best-first pool (see [`crate::pipeline::merge`])
+//! gives exactly what a full-catalogue `rank_by_scores` walk restricted
+//! to the pool would give. That identity is what makes the default
+//! pipeline bit-identical to the legacy fallback chain, and what lets the
+//! engine skip the secondary sources for a user the primary fills
+//! (DESIGN.md §15).
 
 use super::sources::Candidate;
 use rm_util::TopK;

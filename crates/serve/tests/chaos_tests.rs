@@ -6,10 +6,12 @@
 //! (`cargo test -p rm-serve --features testing`).
 #![cfg(feature = "testing")]
 
+use rm_core::Recommender;
 use rm_dataset::ids::UserIdx;
 use rm_serve::breaker::{BreakerConfig, BreakerState};
 use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ModelSlot, ServingEngine};
 use rm_serve::fault::{CallWindow, FaultPlan};
+use rm_serve::pipeline::{Candidate, CandidateFilter, FilterCtx};
 use rm_serve::registry::MANIFEST_FILE;
 use rm_util::clock::{Backoff, Clock, FakeClock};
 use std::sync::{Arc, Once};
@@ -283,6 +285,56 @@ fn request_deadline_stops_the_chain_walk() {
     assert_eq!(m.panics[ModelSlot::ClosestItems.index()], 1);
     assert_eq!(m.served, [0; ModelSlot::COUNT]);
     assert_eq!(m.availability(), 0.0);
+    fx.cleanup();
+}
+
+/// A filter that drops every candidate.
+#[derive(Debug)]
+struct DropAll;
+
+impl CandidateFilter for DropAll {
+    fn retain(&self, _: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
+        pool.clear();
+    }
+}
+
+/// Behind an exhaustive primary the deadline is still checked before
+/// each slot call. BPR stalls past the budget: a user it fills keeps
+/// BPR's answer, since no later slot call was needed, while a user the
+/// filters leave short waits for a second round the deadline cancels,
+/// and gets an empty answer with no later source or terminal run.
+#[test]
+fn request_deadline_cancels_the_second_round() {
+    let fx = train_fixture("deadline-second-round");
+    let user = user_with_history(&fx.train);
+    let engine_with = |filter: Option<Arc<dyn CandidateFilter>>| {
+        let clock = Arc::new(FakeClock::new());
+        let mut builder = chaos_builder(&clock)
+            .pipeline_sources(vec![
+                ModelSlot::Bpr,
+                ModelSlot::ClosestItems,
+                ModelSlot::MostRead,
+            ])
+            .request_budget(Duration::from_millis(30))
+            .no_breaker();
+        if let Some(filter) = filter {
+            builder = builder.filter(filter);
+        }
+        let plan = FaultPlan::none().latency(ModelSlot::Bpr, Duration::from_millis(40));
+        let config = builder.build().expect("valid config");
+        ServingEngine::load_with_faults(&fx.registry, &fx.train, config, plan)
+            .expect("engine loads")
+    };
+
+    let filled = engine_with(None);
+    assert_eq!(filled.recommend(user, 5), fx.bpr.recommend(user, 5));
+    assert_eq!(filled.metrics().deadline_skips, 0);
+
+    let short = engine_with(Some(Arc::new(DropAll)));
+    assert!(short.recommend(user, 5).is_empty());
+    let m = short.metrics();
+    assert_eq!(m.deadline_skips, 1);
+    assert_eq!(m.served, [0; ModelSlot::COUNT]);
     fx.cleanup();
 }
 

@@ -1,8 +1,8 @@
-//! Property: the merge stage pools exactly what the `BTreeMap` merge it
-//! replaced pooled — one candidate per book, ascending book order, and
-//! for a book proposed more than once the first proposal in emission
-//! order (within one emission, then across emissions) keeps its
-//! provenance.
+//! Property: the merge stage pools exactly the first proposal of each
+//! book in emission order — one candidate per book, in the order the
+//! emissions proposed them, and for a book proposed more than once the
+//! first proposal (within one emission, then across emissions) keeps its
+//! position and its provenance.
 //!
 //! Books are drawn from a small range, so most cases repeat books within
 //! one emission and across emissions; a quarter of the emissions are
@@ -15,18 +15,18 @@ use proptest::collection::vec;
 use proptest::{prop_assert_eq, proptest};
 use rm_serve::pipeline::merge_into;
 use rm_serve::{Candidate, Reason, SourceId};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-/// The reference: a `BTreeMap` keyed by book, first insertion wins,
-/// drained in ascending key order.
+/// The reference: one linear scan over the emissions in order, keeping
+/// each candidate whose book is not yet in the set of taken books.
 fn btree_merge(emissions: &[Vec<Candidate>]) -> Vec<Candidate> {
-    let mut by_book: BTreeMap<u32, Candidate> = BTreeMap::new();
-    for emission in emissions {
-        for &cand in emission {
-            by_book.entry(cand.book).or_insert(cand);
-        }
-    }
-    by_book.into_values().collect()
+    let mut taken: BTreeSet<u32> = BTreeSet::new();
+    emissions
+        .iter()
+        .flatten()
+        .filter(|cand| taken.insert(cand.book))
+        .copied()
+        .collect()
 }
 
 const SOURCES: [SourceId; 3] = [

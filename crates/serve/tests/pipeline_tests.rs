@@ -139,6 +139,44 @@ fn genre_filters_shape_the_pool() {
     fx.cleanup();
 }
 
+/// The hybrid never loses to its exact primary. In the benchmark's
+/// serving shape (BPR, Closest Items and Most Read as sources; the
+/// already-borrowed filter and a diversity cap of k per genre; exact f32
+/// scans) the pool arrives best-first, so the cap keeps BPR's own top-k
+/// and every user gets exactly BPR's answer.
+#[test]
+fn hybrid_answers_equal_its_exact_primary() {
+    let fx = train_fixture("hybrid");
+    let genres = Arc::new(BookGenres::from_corpus(&fx.corpus));
+    for k in [5usize, 10] {
+        for pool_size in [16usize, 256] {
+            let config = EngineConfig::builder()
+                .pipeline_sources(vec![
+                    ModelSlot::Bpr,
+                    ModelSlot::ClosestItems,
+                    ModelSlot::MostRead,
+                ])
+                .filter(Arc::new(AlreadyBorrowedFilter))
+                .filter(Arc::new(DiversityCapFilter::new(k)))
+                .book_genres(Arc::clone(&genres))
+                .pool_size(pool_size)
+                .build()
+                .expect("valid config");
+            let engine =
+                ServingEngine::load(&fx.registry, &fx.train, config).expect("engine loads");
+            for u in 0..fx.train.n_users() as u32 {
+                let user = UserIdx(u);
+                assert_eq!(
+                    engine.recommend(user, k),
+                    fx.bpr.recommend(user, k),
+                    "user {u} k {k} pool {pool_size}"
+                );
+            }
+        }
+    }
+    fx.cleanup();
+}
+
 /// Trains the Tiny fixture and publishes it twice: once bare, once
 /// with the IVF ANN artifact built the way `train --out` builds it.
 fn ann_registries(tag: &str) -> (Fixture, ArtifactRegistry) {

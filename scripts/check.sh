@@ -84,14 +84,20 @@ echo "==> kernel equivalence suite (unrolled vecops vs scalar reference, selecto
 # bit-identical across block widths; these proptests are the contract.
 # Likewise the differential proptests are the selector and merge
 # contracts: TopK must return exactly a full total_cmp sort's first k,
-# and merge_into exactly the BTreeMap pool it replaced.
+# and merge_into exactly the first proposal of each book, in emission
+# order.
 cargo test -q -p rm-sparse vecops
 cargo test -q -p rm-sparse dense
 # The kernels vectorise only in optimised builds, and the bit-identity
 # contract has to hold for that lowering too; the Closest Items batch
-# tests run its four-user scan on it.
+# tests run its four-user scan on it. The engine skips the secondary
+# sources for users an exhaustive primary fills only because the
+# primary's scan scores bit-identically to the rank stage, so the
+# differential reference check of the engine runs on it as well, over
+# every Tiny user.
 cargo test --release -q -p rm-sparse
 cargo test --release -q -p rm-core closest
+cargo test --release -q -p rm-serve --test reference_tests
 cargo test -q -p rm-util topk
 cargo test -q -p rm-serve merge
 
