@@ -143,8 +143,12 @@ pub(crate) fn rank_by_scores_into(
     out: &mut Vec<u32>,
 ) {
     // Clamp before TopK: `k` may be usize::MAX ("rank everything") and
-    // TopK pre-allocates its capacity.
-    let k = k.min(n_books).max(1);
+    // TopK pre-allocates its capacity; k = 0 ranks nothing.
+    let k = k.min(n_books);
+    if k == 0 {
+        out.clear();
+        return;
+    }
     top.reset(k);
     let mut seen_iter = seen.iter().copied().peekable();
     for b in 0..n_books as u32 {
@@ -233,6 +237,14 @@ mod tests {
     fn rank_by_scores_k_larger_than_catalog() {
         let got = rank_by_scores(3, &[], 10, |b| -(b as f32));
         assert_eq!(got, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn rank_by_scores_k_zero_ranks_nothing() {
+        assert!(rank_by_scores(5, &[1], 0, |b| b as f32).is_empty());
+        let (mut top, mut out) = (rm_util::TopK::new(1), vec![7]);
+        rank_by_scores_into(5, &[], 0, |b| b as f32, &mut top, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub(crate) fn read_u32(bytes: &[u8], at: usize) -> usize {
 
 /// Reads a `f32` little-endian payload of exactly `n` values.
 fn read_f32s(bytes: &[u8], n: usize) -> Result<Vec<f32>, DecodeError> {
-    if bytes.len() != 4 * n {
+    if n.checked_mul(4) != Some(bytes.len()) {
         return Err(DecodeError::LengthMismatch);
     }
     Ok(bytes
@@ -260,6 +260,11 @@ impl PersistModel for EmbeddingStore {
         let dim = read_u32(payload, 4);
         let n = rows.checked_mul(dim).ok_or(DecodeError::LengthMismatch)?;
         let data = read_f32s(&payload[8..], n)?;
+        // A row that is neither unit nor zero contradicts the declared
+        // layout as much as a wrong length does.
+        if dim > 0 && !data.chunks_exact(dim).all(Self::is_unit_row) {
+            return Err(DecodeError::LengthMismatch);
+        }
         Ok(Self::from_unit_matrix(DenseMatrix::from_vec(
             rows, dim, data,
         )))

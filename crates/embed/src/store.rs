@@ -46,18 +46,25 @@ impl EmbeddingStore {
 
     /// Wraps rows that are *already* unit (or zero) vectors — e.g. decoded
     /// from a persisted artifact — without renormalising, so restored
-    /// embeddings are bit-identical to the stored ones.
+    /// embeddings are bit-identical to the stored ones. Debug builds
+    /// assert [`EmbeddingStore::is_unit_row`] of every row.
     #[must_use]
     pub fn from_unit_matrix(matrix: DenseMatrix) -> Self {
-        #[cfg(debug_assertions)]
-        for r in 0..matrix.rows() {
-            let norm_sq: f32 = matrix.row(r).iter().map(|v| v * v).sum();
-            debug_assert!(
-                norm_sq == 0.0 || (norm_sq - 1.0).abs() < 1e-3,
-                "row {r} is not a unit vector (|v|^2 = {norm_sq})"
-            );
-        }
+        let dim = matrix.cols();
+        debug_assert!(
+            dim == 0 || matrix.as_slice().chunks_exact(dim).all(Self::is_unit_row),
+            "a row is neither a unit nor a zero vector"
+        );
         Self { matrix }
+    }
+
+    /// Whether `row` is a zero vector or a unit vector (squared norm
+    /// within 1e-3 of 1): the rows [`EmbeddingStore::from_unit_matrix`]
+    /// takes.
+    #[must_use]
+    pub fn is_unit_row(row: &[f32]) -> bool {
+        let norm_sq = vecops::dot(row, row);
+        norm_sq == 0.0 || (norm_sq - 1.0).abs() < 1e-3
     }
 
     /// Number of stored items.

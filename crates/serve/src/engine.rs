@@ -133,6 +133,9 @@ impl ModelSlot {
     }
 }
 
+/// Seed of the terminal Random Items fallback.
+pub const RANDOM_SEED: u64 = 42;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -143,8 +146,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// LRU entries; `0` disables caching entirely.
     pub cache_capacity: usize,
-    /// Seed of the terminal Random Items fallback.
-    pub random_seed: u64,
     /// Per-slot-call time budget: a call exceeding it is cut off (its
     /// answers discarded, a timeout recorded, the breaker notified) and
     /// the next slot is tried. `None` disables the check — and its two
@@ -238,7 +239,6 @@ impl Default for EngineConfig {
             chain: ModelSlot::ALL.to_vec(),
             workers: 4,
             cache_capacity: 4096,
-            random_seed: 42,
             slot_budget: None,
             request_budget: None,
             breaker: Some(BreakerConfig::default()),
@@ -278,12 +278,6 @@ impl EngineConfigBuilder {
     /// Sets the LRU capacity; `0` disables caching entirely.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
-        self
-    }
-
-    /// Seeds the terminal Random Items fallback.
-    pub fn random_seed(mut self, seed: u64) -> Self {
-        self.config.random_seed = seed;
         self
     }
 
@@ -572,11 +566,10 @@ impl ServingEngine {
         config.validate()?;
         let loaded = registry.load()?;
         let cache_capacity = config.cache_capacity;
-        let random_seed = config.random_seed;
         let breakers = config
             .breaker
             .map(|cfg| Mutex::new(std::array::from_fn(|_| CircuitBreaker::new(cfg))));
-        let mut random = RandomItems::new(random_seed);
+        let mut random = RandomItems::new(RANDOM_SEED);
         random.fit(train);
         let metrics = ServeMetrics::new(Arc::clone(&config.clock));
         let governor = config.overload.clone().map(|overload| {
@@ -1213,8 +1206,8 @@ impl ServingEngine {
 
     /// Top-`k` books for `user`, served by the candidate pipeline with
     /// the fallback chain as its terminal stage. An unknown user (outside
-    /// the training matrix) gets an empty list. The call records
-    /// latency, cache, and per-slot counters.
+    /// the training matrix) or `k = 0` gets an empty list, without any
+    /// slot call. The call records latency, cache, and per-slot counters.
     pub fn recommend(&self, user: UserIdx, k: usize) -> Vec<u32> {
         // serve_chunk answers every request; an empty Vec here is
         // unreachable in practice, but the request path degrades to "no
@@ -1252,27 +1245,25 @@ impl ServingEngine {
     }
 
     /// [`ServingEngine::serve_chunk`] with optional per-user explanation
-    /// capture. The chunk runs the pipeline in three stages, every slot
-    /// call inside the one fault envelope (`run_slot`):
+    /// capture. The chunk runs the pipeline in rounds, then its terminal
+    /// stage, every slot call inside the one fault envelope (`run_slot`):
     ///
-    /// 1. **Sources** — the plan's source slots are tried in order over
-    ///    the whole chunk, one attempt each. The first that emits is the
-    ///    primary. When the primary retrieves exhaustively (its emission
-    ///    is its exact top-`pool_size` under the rank stage's scores:
-    ///    BPR or Closest Items with no IVF index, or Most Read), the
-    ///    later sources are held back;
-    /// 2. **Merge → filters → rank** — per user, the emissions are
-    ///    pooled best-first (first-source-wins provenance), pruned by
-    ///    the configured filters, and re-scored by the primary source's
-    ///    model down to top-k. Users whose answer comes out shorter than
-    ///    k then get the held-back sources, all at once, and are merged,
-    ///    filtered and ranked again over every emission. For every other
-    ///    user the answer is what running every source would give: each
-    ///    book a later source adds ranks below every primary book, and
-    ///    the filters only look backwards, so the filtered primary pool
-    ///    stays the prefix that holds the top-k (DESIGN.md §15);
-    /// 3. **Terminals** — users the pipeline could not serve try the
-    ///    plan's terminal slots in order, each slot's exact-scan source
+    /// 1. **Rounds** — a round runs the plan's next source slots over its
+    ///    users, one attempt each; the first that emits is the primary.
+    ///    Per user, the emissions so far are pooled best-first
+    ///    (first-source-wins provenance), pruned by the configured
+    ///    filters, and re-scored by the primary source's model down to
+    ///    top-k. When the primary retrieves exhaustively (its emission is
+    ///    its exact top-`pool_size` under the rank stage's scores: BPR or
+    ///    Closest Items with no IVF index, or Most Read), the first round
+    ///    stops at it, and the users it leaves short of k form a second
+    ///    round, which runs the remaining sources. For every other user
+    ///    the answer is what running every source would give: each book
+    ///    a later source adds ranks below every primary book, and the
+    ///    filters only look backwards, so the filtered primary pool stays
+    ///    the prefix that holds the top-k (DESIGN.md §15);
+    /// 2. **Terminals** — users the rounds left empty try the plan's
+    ///    terminal slots in order, each slot's exact-scan source
     ///    answering with its own top-k (one attempt per slot per chunk).
     ///
     /// When `explain` is `Some`, the cache is bypassed in both
@@ -1301,7 +1292,8 @@ impl ServingEngine {
             ex.clear();
             ex.resize_with(users.len(), Vec::new);
         }
-        let mut out: Vec<Option<Vec<u32>>> = vec![None; users.len()];
+        // Every answer starts empty; a slot that serves a user fills it.
+        let mut out: Vec<Vec<u32>> = vec![Vec::new(); users.len()];
         let mut stats = ChunkStats::new(users.len() as u64, 0);
         let mut misses: Vec<usize> = Vec::with_capacity(users.len());
         let use_cache = self.config.cache_capacity > 0 && explain.is_none();
@@ -1310,7 +1302,7 @@ impl ServingEngine {
             for (i, &u) in users.iter().enumerate() {
                 match cache.get(&(u.0, k, self.epoch)) {
                     Some(books) => {
-                        out[i] = Some(books.clone());
+                        out[i] = books.clone();
                         stats.hits += 1;
                     }
                     None => misses.push(i),
@@ -1325,92 +1317,82 @@ impl ServingEngine {
                 .push("epoch", self.epoch);
         });
 
-        // Unknown users (outside the training matrix) get empty lists
-        // without consulting any model.
-        misses.retain(|&i| {
-            let known = users[i].index() < self.train.n_users();
-            if !known {
-                out[i] = Some(Vec::new());
-            }
-            known
-        });
+        // Unknown users (outside the training matrix) and requests for
+        // no books keep their empty answers without consulting any model.
+        misses.retain(|&i| k > 0 && users[i].index() < self.train.n_users());
 
         let deadline = self
             .config
             .request_budget
             .map(|budget| Deadline::after(&*self.config.clock, budget));
         let plan = &self.plans[level.index()];
-        let mut remaining = misses.clone();
         let mut expired = false;
+        // Chunk positions of the users the rounds leave empty: every miss
+        // when the plan has no sources.
+        let mut empty = misses.clone();
 
-        // ---- Stage 1: candidate sources fan out ------------------------
-        // The primary is the first source that emits. Behind a primary
-        // that retrieves exhaustively, the later sources wait in `later`
-        // for the users stage 2 finds short of k.
-        let pool_size = self.config.pipeline.pool_size.max(k);
-        let mut emitted: Vec<(ModelSlot, Vec<Vec<Candidate>>)> = Vec::new();
-        let mut later: &[ModelSlot] = &[];
-        if !remaining.is_empty() && !plan.sources.is_empty() {
-            let pending: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
-            for (s, &slot) in plan.sources.iter().enumerate() {
-                match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
-                    SlotRun::Emitted(candidates) => {
-                        emitted.push((slot, candidates));
-                        if emitted.len() == 1 && self.exhaustive(slot) {
-                            later = &plan.sources[s + 1..];
+        // ---- Rounds: sources → merge → filters → rank -----------------
+        // `unrun` holds the plan's sources still to run. `emitted[i]`
+        // holds user i's emissions back to back, in source order: the
+        // merge concatenates its inputs anyway, so merging that one slice
+        // gives the same pool.
+        if !empty.is_empty() && !plan.sources.is_empty() {
+            let pool_size = self.config.pipeline.pool_size.max(k);
+            let genres = self.config.pipeline.book_genres.as_deref();
+            let mut emitted: Vec<Vec<Candidate>> = vec![Vec::new(); users.len()];
+            let (mut pool, mut top, mut ranked) = (Vec::new(), TopK::new(1), Vec::new());
+            let mut unrun = plan.sources.as_slice();
+            let mut primary = None;
+            let mut round = std::mem::take(&mut empty);
+            while !round.is_empty() {
+                let pending: Vec<UserIdx> = round.iter().map(|&i| users[i]).collect();
+                while let Some((&slot, rest)) = unrun.split_first() {
+                    unrun = rest;
+                    match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
+                        SlotRun::Emitted(candidates) => {
+                            for (&i, emission) in round.iter().zip(candidates) {
+                                if emitted[i].is_empty() {
+                                    emitted[i] = emission;
+                                } else {
+                                    emitted[i].extend_from_slice(&emission);
+                                }
+                            }
+                            // Behind an exhaustive primary the later
+                            // sources wait for the users it leaves short.
+                            if primary.is_none() {
+                                primary = Some(slot);
+                                if self.exhaustive(slot) {
+                                    break;
+                                }
+                            }
+                        }
+                        SlotRun::FellThrough => {}
+                        SlotRun::Expired => {
+                            expired = true;
                             break;
                         }
                     }
-                    SlotRun::FellThrough => {}
-                    SlotRun::Expired => {
-                        expired = true;
-                        break;
-                    }
                 }
-            }
-        }
-
-        // ---- Stage 2: merge → filters → rank ---------------------------
-        if !expired && !emitted.is_empty() {
-            // The highest-priority source that emitted supplies the
-            // rank-stage scoring model; with the default single source
-            // this reproduces the legacy slot's own ranking bit-for-bit.
-            let primary = emitted[0].0;
-            let scorer = self.slot_model(primary);
-            // Under a BPR primary with validated quantized factors the
-            // rank stage scores from the compact rows; any mismatch or
-            // corruption fell back to `scorer` (exact f32) at install.
-            let quant_cf = match primary {
-                ModelSlot::Bpr => self.quant_cf_rows(),
-                _ => None,
-            };
-            let genres = self.config.pipeline.book_genres.as_deref();
-            let mut pool: Vec<Candidate> = Vec::new();
-            let mut top = TopK::new(1);
-            let mut ranked: Vec<u32> = Vec::new();
-            let mut still_empty = Vec::new();
-            // The first round ranks every pending user over stage 1's
-            // emissions. The second runs only when sources wait in
-            // `later`: they emit for the users the first round left short
-            // of k (`second`, positions into `remaining`), and those
-            // users are ranked again over every emission; `extra[e][s]`
-            // is the e-th later source's emission for the round's s-th
-            // user.
-            let mut second: Option<Vec<usize>> = None;
-            let mut extra: Vec<Vec<Vec<Candidate>>> = Vec::new();
-            loop {
-                let round = second.as_deref();
+                let Some(primary) = primary.filter(|_| !expired) else {
+                    // The deadline expired, or no source emitted: the
+                    // round's users fall to the terminal stage.
+                    empty.extend_from_slice(&round);
+                    break;
+                };
+                // The highest-priority source that emitted supplies the
+                // rank-stage scoring model; with the default single source
+                // this reproduces the legacy slot's own ranking bit-for-bit.
+                let scorer = self.slot_model(primary);
+                // Under a BPR primary with validated quantized factors the
+                // rank stage scores from the compact rows; any mismatch or
+                // corruption fell back to `scorer` (exact f32) at install.
+                let quant_cf = match primary {
+                    ModelSlot::Bpr => self.quant_cf_rows(),
+                    _ => None,
+                };
                 let mut short = Vec::new();
-                for s in 0..round.map_or(remaining.len(), <[usize]>::len) {
-                    let j = round.map_or(s, |round| round[s]);
-                    let i = remaining[j];
-                    merge_into(
-                        emitted
-                            .iter()
-                            .map(|(_, per_user)| per_user[j].as_slice())
-                            .chain(extra.iter().map(|per_user| per_user[s].as_slice())),
-                        &mut pool,
-                    );
+                for &i in &round {
+                    merge_into([emitted[i].as_slice()], &mut pool);
                     let user = users[i];
                     let ctx = FilterCtx {
                         user,
@@ -1443,15 +1425,15 @@ impl ServingEngine {
                         // The primary model vanished.
                         (None, None) => ranked.clear(),
                     }
-                    if !later.is_empty() && ranked.len() < k.max(1) {
-                        short.push(j);
+                    if !unrun.is_empty() && ranked.len() < k {
+                        short.push(i);
                         continue;
                     }
                     if ranked.is_empty() {
                         // Empty pool, everything filtered out, or no
                         // scorer: the terminal stage gets another shot
                         // at this user.
-                        still_empty.push(i);
+                        empty.push(i);
                         continue;
                     }
                     // Attribute the serve to the slot whose source proposed
@@ -1464,47 +1446,29 @@ impl ServingEngine {
                             .filter_map(|&b| pool.iter().find(|c| c.book == b).copied())
                             .collect();
                     }
-                    out[i] = Some(std::mem::take(&mut ranked));
+                    out[i] = std::mem::take(&mut ranked);
                 }
-                if short.is_empty() {
-                    break;
-                }
-                let pending: Vec<UserIdx> = short.iter().map(|&j| users[remaining[j]]).collect();
-                for &slot in std::mem::take(&mut later) {
-                    match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
-                        SlotRun::Emitted(candidates) => extra.push(candidates),
-                        SlotRun::FellThrough => {}
-                        SlotRun::Expired => {
-                            expired = true;
-                            break;
-                        }
-                    }
-                }
-                if expired {
-                    still_empty.extend(short.iter().map(|&j| remaining[j]));
-                    break;
-                }
-                second = Some(short);
+                round = short;
             }
-            remaining = still_empty;
         }
 
-        // ---- Stage 3: terminal slots -----------------------------------
-        // Users the pipeline could not serve take the first non-empty
-        // exact top-k of the plan's terminal slots, in emission order,
-        // re-stamped as that slot's fallback provenance.
+        // ---- Terminals -------------------------------------------------
+        // Users the rounds left empty take the first non-empty exact
+        // top-k of the plan's terminal slots, in emission order,
+        // re-stamped as that slot's fallback provenance. The rest keep
+        // their empty answers, served by no slot.
         for &slot in &plan.terminals {
-            if expired || remaining.is_empty() {
+            if expired || empty.is_empty() {
                 break;
             }
-            let pending: Vec<UserIdx> = remaining.iter().map(|&i| users[i]).collect();
+            let pending: Vec<UserIdx> = empty.iter().map(|&i| users[i]).collect();
             let candidates = match self.run_slot(slot, true, &pending, k, deadline, &mut stats) {
                 SlotRun::Emitted(candidates) => candidates,
                 SlotRun::FellThrough => continue,
                 SlotRun::Expired => break,
             };
             let mut still_empty = Vec::new();
-            for (&i, answer) in remaining.iter().zip(&candidates) {
+            for (&i, answer) in empty.iter().zip(&candidates) {
                 if answer.is_empty() {
                     still_empty.push(i);
                     continue;
@@ -1519,26 +1483,16 @@ impl ServingEngine {
                         })
                         .collect();
                 }
-                out[i] = Some(answer.iter().map(|c| c.book).collect());
+                out[i] = answer.iter().map(|c| c.book).collect();
             }
-            remaining = still_empty;
-        }
-        // Sources and terminals exhausted (or deadline expired): empty
-        // answers, not served by any slot.
-        for i in remaining {
-            out[i] = Some(Vec::new());
+            empty = still_empty;
         }
 
         if use_cache && !misses.is_empty() && level == DegradationLevel::Full {
             let mut cache = self.lock_cache();
             for &i in &misses {
-                // Every miss index was answered above; skip (rather than
-                // abort on) a hole if that invariant is ever broken.
-                let Some(books) = out[i].as_ref() else {
-                    continue;
-                };
-                if !books.is_empty() {
-                    cache.insert((users[i].0, k, self.epoch), books.clone());
+                if !out[i].is_empty() {
+                    cache.insert((users[i].0, k, self.epoch), out[i].clone());
                 }
             }
         }
@@ -1554,9 +1508,7 @@ impl ServingEngine {
                 f.push("level", level.label());
             }
         });
-        // All slots are Some by construction; degrade a hole to an empty
-        // answer instead of panicking in the serving path.
-        out.into_iter().map(Option::unwrap_or_default).collect()
+        out
     }
 
     /// The fault envelope around one slot call, source or terminal, over

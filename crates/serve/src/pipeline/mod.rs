@@ -54,9 +54,8 @@ pub use filters::{AlreadyBorrowedFilter, CandidateFilter, DiversityCapFilter, Fi
 pub use merge::merge_into;
 pub use rank::rank_pool_into;
 pub use sources::{
-    anchor_book, AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres, Candidate,
-    CandidateSource, CfNeighboursSource, ContentSimilarSource, FallbackSource, MostReadSource,
-    Reason, SourceId,
+    AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres, Candidate, CandidateSource,
+    CfNeighboursSource, ContentSimilarSource, FallbackSource, MostReadSource, Reason, SourceId,
 };
 
 use crate::engine::ModelSlot;

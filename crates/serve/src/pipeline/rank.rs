@@ -17,7 +17,7 @@ use rm_util::TopK;
 /// Ranks `pool` by `score` and writes the top `k` book indices into
 /// `out` (cleared first), best first. `top` is caller-owned scratch so
 /// batch serving loops rank without per-call allocation. An empty pool
-/// yields an empty `out`.
+/// or `k = 0` yields an empty `out`.
 pub fn rank_pool_into(
     pool: &[Candidate],
     k: usize,
@@ -25,11 +25,11 @@ pub fn rank_pool_into(
     top: &mut TopK,
     out: &mut Vec<u32>,
 ) {
-    if pool.is_empty() {
+    let k = k.min(pool.len());
+    if k == 0 {
         out.clear();
         return;
     }
-    let k = k.min(pool.len()).max(1);
     top.reset(k);
     for cand in pool {
         top.push(cand.book, score(cand.book));
@@ -73,6 +73,14 @@ mod tests {
         let mut top = TopK::new(1);
         let mut out = vec![42];
         rank_pool_into(&[], 5, |_| 0.0, &mut top, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn k_zero_yields_empty_ranking() {
+        let mut top = TopK::new(1);
+        let mut out = vec![42];
+        rank_pool_into(&pool(&[1, 2]), 0, |_| 0.0, &mut top, &mut out);
         assert!(out.is_empty());
     }
 

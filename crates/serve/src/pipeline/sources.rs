@@ -412,14 +412,8 @@ impl CandidateSource for AnnContentSimilarSource<'_> {
 /// The borrowed book most representative of the user's taste: the seen
 /// book whose embedding is most similar to the (normalised) centroid of
 /// everything they borrowed. Ties break toward the lower book index;
-/// `None` for an empty history.
-#[must_use]
-pub fn anchor_book(closest: &ClosestItems, seen: &[u32]) -> Option<u32> {
-    anchor_into(closest.store(), seen, &mut Vec::new())
-}
-
-/// [`anchor_book`] with a caller-owned centroid buffer, so a chunk of
-/// users shares one allocation.
+/// `None` for an empty history. `centroid` is a caller-owned buffer, so
+/// a chunk of users shares one allocation.
 fn anchor_into(store: &EmbeddingStore, seen: &[u32], centroid: &mut Vec<f32>) -> Option<u32> {
     if seen.is_empty() {
         return None;

@@ -45,6 +45,18 @@ pub fn unique_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The FNV-1a 64 the codec checksums a container with, reimplemented so
+/// a test can craft a checksum-valid artifact.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// First user with a non-empty training history.
 pub fn user_with_history(train: &Interactions) -> UserIdx {
     (0..train.n_users() as u32)

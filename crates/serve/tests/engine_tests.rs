@@ -13,12 +13,14 @@ use rm_serve::overload::OverloadConfig;
 use rm_serve::pipeline::AlreadyBorrowedFilter;
 use rm_serve::registry::{ArtifactRegistry, Manifest, BPR_FILE, MOST_READ_FILE};
 use rm_sparse::DenseMatrix;
+use rm_util::clock::MonotonicClock;
+use rm_util::trace::Tracer;
 use rm_util::RecError;
 use std::sync::Arc;
 use std::time::Duration;
 
 mod common;
-use common::{train_fixture, unique_dir, user_with_history, Fixture};
+use common::{fnv64, train_fixture, unique_dir, user_with_history, Fixture};
 
 fn engine_of(fx: &Fixture, config: EngineConfig) -> ServingEngine {
     ServingEngine::load(&fx.registry, &fx.train, config).expect("engine loads")
@@ -44,18 +46,6 @@ fn healthy_chain_serves_bpr() {
     assert_eq!(m.fallbacks, [0; ModelSlot::COUNT]);
     assert_eq!(m.latency.count(), 1);
     let _ = std::fs::remove_dir_all(fx.registry.dir());
-}
-
-/// The FNV-1a 64 the codec uses, reimplemented to craft a
-/// checksum-valid-but-length-mismatched artifact.
-fn fnv64(bytes: &[u8]) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[test]
@@ -122,6 +112,31 @@ fn every_decode_error_variant_falls_back_to_closest_items() {
     assert_eq!(*slot, ModelSlot::Bpr);
     assert!(reason.contains("tag mismatch"), "{reason}");
     assert!(!engine.recommend(user_with_history(&fx.train), 5).is_empty());
+    let _ = std::fs::remove_dir_all(fx.registry.dir());
+}
+
+/// A request for no books answers empty, single, explained and batched
+/// alike, without calling any slot or caching anything.
+#[test]
+fn k_zero_answers_empty_without_calling_a_slot() {
+    let fx = train_fixture("k-zero");
+    let tracer = Tracer::enabled(4096, Arc::new(MonotonicClock::new()));
+    let config = EngineConfig::builder().tracer(Arc::new(tracer)).build();
+    let engine = engine_of(&fx, config.expect("valid config"));
+    let user = user_with_history(&fx.train);
+    assert_eq!(engine.recommend(user, 0), Vec::<u32>::new());
+    assert_eq!(
+        engine.recommend_explained(user, 0),
+        (Vec::new(), Vec::new())
+    );
+    let users: Vec<UserIdx> = (0..fx.train.n_users() as u32).map(UserIdx).collect();
+    assert!(engine.recommend_batch(&users, 0).iter().all(Vec::is_empty));
+    let events = engine.tracer().drain();
+    assert!(events.iter().all(|e| e.name != "slot_call"), "{events:?}");
+    assert_eq!(engine.cache_len(), 0);
+    let m = engine.metrics();
+    assert_eq!(m.served, [0; ModelSlot::COUNT]);
+    assert_eq!(m.fallbacks, [0; ModelSlot::COUNT]);
     let _ = std::fs::remove_dir_all(fx.registry.dir());
 }
 
@@ -416,7 +431,6 @@ fn builder_defaults_match_config_default() {
     assert_eq!(built.chain, default.chain);
     assert_eq!(built.workers, default.workers);
     assert_eq!(built.cache_capacity, default.cache_capacity);
-    assert_eq!(built.random_seed, default.random_seed);
     assert_eq!(built.slot_budget, default.slot_budget);
     assert_eq!(built.request_budget, default.request_budget);
     assert_eq!(built.pipeline.pool_size, default.pipeline.pool_size);
@@ -519,7 +533,6 @@ fn builder_sets_pipeline_and_fault_knobs() {
         .chain(vec![ModelSlot::MostRead, ModelSlot::Random])
         .workers(2)
         .cache_capacity(16)
-        .random_seed(7)
         .slot_budget(std::time::Duration::from_millis(5))
         .request_budget(std::time::Duration::from_millis(50))
         .no_breaker()
@@ -530,7 +543,6 @@ fn builder_sets_pipeline_and_fault_knobs() {
     assert_eq!(config.chain, vec![ModelSlot::MostRead, ModelSlot::Random]);
     assert_eq!(config.workers, 2);
     assert_eq!(config.cache_capacity, 16);
-    assert_eq!(config.random_seed, 7);
     assert_eq!(
         config.slot_budget,
         Some(std::time::Duration::from_millis(5))

@@ -14,9 +14,9 @@ use rm_core::Recommender;
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
 use rm_serve::engine::ModelSlot::{self, Bpr as B, ClosestItems as C, MostRead as M, Random as R};
-use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ServingEngine};
+use rm_serve::engine::{EngineConfig, EngineConfigBuilder, ServingEngine, RANDOM_SEED};
 use rm_serve::overload::{DegradationLevel, OverloadConfig};
-use rm_serve::pipeline::{anchor_book, Candidate, CandidateFilter, FilterCtx, Reason, SourceId};
+use rm_serve::pipeline::{Candidate, CandidateFilter, FilterCtx, Reason, SourceId};
 use rm_serve::registry::{ArtifactRegistry, BPR_FILE, EMBEDDINGS_FILE, MOST_READ_FILE};
 use rm_util::clock::{Clock, FakeClock};
 use rm_util::trace::{Tracer, Value};
@@ -213,6 +213,22 @@ fn every_brownout_level_runs_its_plan() {
     fx.cleanup();
 }
 
+/// The anchor a Closest Items answer names for a reader who borrowed
+/// `seen`, from the embedding store's public API: the seen book most
+/// similar to the centroid of `seen`, the first on ties.
+fn anchor(closest: &ClosestItems, seen: &[u32]) -> u32 {
+    let store = closest.store();
+    let sims = store.similarities(&store.centroid(seen));
+    let better = |best: u32, b: u32| {
+        if sims[b as usize] > sims[best as usize] {
+            b
+        } else {
+            best
+        }
+    };
+    seen.iter().copied().reduce(better).expect("a history")
+}
+
 /// A terminal slot answers with its model's own exact f32 top-k, in
 /// model order, and explains it as that slot's fallback — even with
 /// the IVF indexes and i8 rows active, which only the pipeline sources
@@ -220,7 +236,7 @@ fn every_brownout_level_runs_its_plan() {
 #[test]
 fn terminal_slots_serve_the_exact_f32_model() {
     let fx = fixture("terminal");
-    let mut random = RandomItems::new(EngineConfig::default().random_seed);
+    let mut random = RandomItems::new(RANDOM_SEED);
     random.fit(&fx.train);
     for slot in ModelSlot::ALL {
         // The filters empty the source's pool, so the chain's only slot
@@ -244,7 +260,7 @@ fn terminal_slots_serve_the_exact_f32_model() {
             let reason = |book: u32| match slot {
                 B => Reason::CfNeighbours,
                 C => Reason::SimilarToBorrowed {
-                    anchor: anchor_book(&fx.closest, fx.train.seen(user)).expect("a history"),
+                    anchor: anchor(&fx.closest, fx.train.seen(user)),
                 },
                 M => Reason::MostRead {
                     count: fx.most_read.count(BookIdx(book)),

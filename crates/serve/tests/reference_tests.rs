@@ -13,7 +13,11 @@
 //! engine's second round runs as well as its skip. An IVF primary keeps
 //! every source eager. Each case is served once as a batch, which ranks
 //! a second round over a subset of the chunk, and once per user with
-//! explanations.
+//! explanations. The batch's `slot_call` trace events pin the rounds
+//! themselves: behind an exhaustive primary, the primary runs once over
+//! every user and each later source once over exactly the users the
+//! reference finds short (not at all when none is); behind the IVF
+//! primary, each source runs once over every user.
 //!
 //! An unoptimised build checks every seventh user and every blanked one
 //! (under half a minute instead of two); `scripts/check.sh` also runs
@@ -37,6 +41,8 @@ use rm_serve::pipeline::{
     MostReadSource,
 };
 use rm_serve::registry::ArtifactRegistry;
+use rm_util::clock::MonotonicClock;
+use rm_util::trace::{Tracer, Value};
 use rm_util::TopK;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -176,6 +182,17 @@ fn score(fx: &Models, setup: &Setup<'_>, user: UserIdx, book: u32) -> f32 {
     }
 }
 
+/// The fields of a successful `slot_call` event: `slot` called over
+/// `requests` users, `served` of whom it had candidates for.
+fn ok_call(slot: ModelSlot, requests: usize, served: usize) -> Vec<(&'static str, Value)> {
+    vec![
+        ("slot", Value::Str(slot.metric_label().into())),
+        ("requests", Value::U64(requests as u64)),
+        ("outcome", Value::Str("ok".into())),
+        ("served", Value::U64(served as u64)),
+    ]
+}
+
 #[test]
 fn lazy_engine_matches_the_eager_stage_reference() {
     let fx = train_fixture("reference");
@@ -253,7 +270,11 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                         .ann_nprobe(setup.nprobe)
                         .book_genres(Arc::clone(&genres))
                         .cache_capacity(0)
-                        .workers(1);
+                        .workers(1)
+                        .tracer(Arc::new(Tracer::enabled(
+                            64,
+                            Arc::new(MonotonicClock::new()),
+                        )));
                     for filter in &filters {
                         builder = builder.filter(Arc::clone(filter));
                     }
@@ -263,6 +284,11 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                     assert_eq!(engine.ann_cf_active(), setup.ann.is_some(), "{what}");
                     assert_eq!(engine.quant_cf_active(), setup.quant.is_some(), "{what}");
                     let batch = engine.recommend_batch(&users, k);
+                    let calls: Vec<_> = (engine.tracer().drain().into_iter())
+                        .filter(|event| event.name == "slot_call")
+                        .map(|event| event.fields)
+                        .collect();
+                    let mut short_users = Vec::new();
                     for (u, &user) in users.iter().enumerate() {
                         let ctx = FilterCtx {
                             user,
@@ -280,6 +306,7 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                         };
                         if rank(&emitted[..1]) < k {
                             short += 1;
+                            short_users.push(u);
                         } else {
                             filled += 1;
                         }
@@ -293,6 +320,17 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                         assert_eq!(served.0, ranked, "{what} user {}", user.0);
                         assert_eq!(served.1, explained, "{what} user {}", user.0);
                     }
+                    let every: Vec<usize> = (0..users.len()).collect();
+                    let expected: Vec<_> = (0..setup.sources.len())
+                        .filter_map(|s| {
+                            let lazy = s > 0 && setup.ann.is_none();
+                            let over = if lazy { &short_users } else { &every };
+                            let served = over.iter().filter(|&&u| !emitted[s][u].is_empty());
+                            (!over.is_empty())
+                                .then(|| ok_call(setup.sources[s], over.len(), served.count()))
+                        })
+                        .collect();
+                    assert_eq!(calls, expected, "{what} slot calls");
                 }
             }
         }
