@@ -87,9 +87,13 @@ impl ClosestItems {
         self.query_into(user, &mut buf).then_some(buf)
     }
 
-    /// [`ClosestItems::query`] into a caller-provided buffer; returns
-    /// `false` (buffer untouched) for a user with no training readings.
-    fn query_into(&self, user: UserIdx, buf: &mut Vec<f32>) -> bool {
+    /// Writes the user's Eq. 1 query vector — the mean of the read-book
+    /// embeddings — into `buf`; returns `false` (buffer untouched) for a
+    /// user with no training readings, or before [`Recommender::fit`].
+    /// [`Recommender::score`] of a book is `vecops::dot` of this query
+    /// with the book's embedding (0 without a query), so a caller scoring
+    /// many books for one user builds the query once.
+    pub fn query_into(&self, user: UserIdx, buf: &mut Vec<f32>) -> bool {
         let Some(train) = self.fitted() else {
             return false;
         };

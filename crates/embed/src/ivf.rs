@@ -302,7 +302,9 @@ impl IvfIndex {
     /// lists form an exact partition of `0..n_items` (every id once,
     /// in ascending order, under a known centroid). `None` on any
     /// inconsistency — the decoder maps that to a corrupt-artifact
-    /// error instead of panicking.
+    /// error instead of panicking. The listed ids must add up to
+    /// `n_items` before anything is sized by it, so a declared count
+    /// the lists do not back allocates nothing.
     #[must_use]
     pub fn from_parts(
         centroids: DenseMatrix,
@@ -310,8 +312,11 @@ impl IvfIndex {
         n_items: u32,
     ) -> Option<Self> {
         let nlist = u32::try_from(centroids.rows()).ok()?;
-        let mut total = 0usize;
-        let mut seen = vec![false; n_items as usize];
+        let total: usize = lists.values().map(Vec::len).sum();
+        if total != n_items as usize {
+            return None;
+        }
+        let mut seen = vec![false; total];
         for (&c, items) in &lists {
             if c >= nlist || items.is_empty() {
                 return None;
@@ -326,9 +331,8 @@ impl IvfIndex {
                 }
                 prev = Some(i);
             }
-            total += items.len();
         }
-        (total == n_items as usize).then_some(Self {
+        Some(Self {
             centroids,
             lists,
             n_items,

@@ -71,6 +71,7 @@ use rm_core::Recommender;
 use rm_dataset::ids::{BookIdx, UserIdx};
 use rm_dataset::interactions::Interactions;
 use rm_embed::AnnArtifact;
+use rm_sparse::vecops;
 use rm_util::clock::{Backoff, Clock, Deadline, MonotonicClock};
 use rm_util::trace::Tracer;
 use rm_util::{RecError, TopK};
@@ -1256,12 +1257,16 @@ impl ServingEngine {
     ///    top-k. When the primary retrieves exhaustively (its emission is
     ///    its exact top-`pool_size` under the rank stage's scores: BPR or
     ///    Closest Items with no IVF index, or Most Read), the first round
-    ///    stops at it, and the users it leaves short of k form a second
-    ///    round, which runs the remaining sources. For every other user
-    ///    the answer is what running every source would give: each book
-    ///    a later source adds ranks below every primary book, and the
-    ///    filters only look backwards, so the filtered primary pool stays
-    ///    the prefix that holds the top-k (DESIGN.md §15);
+    ///    asks it for its top k alone and stops at it. Users whose full
+    ///    top k the filters thin below k ask it again, for `pool_size`,
+    ///    in a round of their own; then every user still short of k
+    ///    forms one more round, which runs the remaining sources. For
+    ///    every other user the answer is what running every source for
+    ///    `pool_size` would give: the top k is the prefix of the top
+    ///    `pool_size` in the same order, each book a later source adds
+    ///    ranks below every primary book, and the filters only look
+    ///    backwards, so the filtered prefix holds the top-k
+    ///    (DESIGN.md §15);
     /// 2. **Terminals** — users the rounds left empty try the plan's
     ///    terminal slots in order, each slot's exact-scan source
     ///    answering with its own top-k (one attempt per slot per chunk).
@@ -1341,42 +1346,73 @@ impl ServingEngine {
             let genres = self.config.pipeline.book_genres.as_deref();
             let mut emitted: Vec<Vec<Candidate>> = vec![Vec::new(); users.len()];
             let (mut pool, mut top, mut ranked) = (Vec::new(), TopK::new(1), Vec::new());
+            let mut query = Vec::new();
             let mut unrun = plan.sources.as_slice();
             let mut primary = None;
+            // Whether the round's users hold only the primary's top k.
+            let mut narrow = false;
             let mut round = std::mem::take(&mut empty);
+            // Users short of k, waiting for the later sources.
+            let mut waiting = Vec::new();
             while !round.is_empty() {
                 let pending: Vec<UserIdx> = round.iter().map(|&i| users[i]).collect();
-                while let Some((&slot, rest)) = unrun.split_first() {
-                    unrun = rest;
+                if let Some(slot) = primary.filter(|_| narrow) {
+                    // The filters thinned these users' top k below k: the
+                    // primary's whole pool replaces it.
+                    narrow = false;
                     match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
                         SlotRun::Emitted(candidates) => {
                             for (&i, emission) in round.iter().zip(candidates) {
-                                if emitted[i].is_empty() {
-                                    emitted[i] = emission;
-                                } else {
-                                    emitted[i].extend_from_slice(&emission);
-                                }
-                            }
-                            // Behind an exhaustive primary the later
-                            // sources wait for the users it leaves short.
-                            if primary.is_none() {
-                                primary = Some(slot);
-                                if self.exhaustive(slot) {
-                                    break;
-                                }
+                                emitted[i] = emission;
                             }
                         }
                         SlotRun::FellThrough => {}
-                        SlotRun::Expired => {
-                            expired = true;
-                            break;
+                        SlotRun::Expired => expired = true,
+                    }
+                } else {
+                    while let Some((&slot, rest)) = unrun.split_first() {
+                        unrun = rest;
+                        // An exhaustive source asked before any has emitted
+                        // is asked for its top k, the prefix of its top
+                        // pool_size.
+                        let lazy = primary.is_none() && self.exhaustive(slot);
+                        let n = if lazy { k } else { pool_size };
+                        match self.run_slot(slot, false, &pending, n, deadline, &mut stats) {
+                            SlotRun::Emitted(candidates) => {
+                                for (&i, emission) in round.iter().zip(candidates) {
+                                    if emitted[i].is_empty() {
+                                        emitted[i] = emission;
+                                    } else {
+                                        emitted[i].extend_from_slice(&emission);
+                                    }
+                                }
+                                // Behind an exhaustive primary the later
+                                // sources wait for the users it leaves short.
+                                if primary.is_none() {
+                                    primary = Some(slot);
+                                    if lazy {
+                                        narrow = k < pool_size;
+                                        break;
+                                    }
+                                }
+                            }
+                            SlotRun::FellThrough => {}
+                            SlotRun::Expired => {
+                                expired = true;
+                                break;
+                            }
                         }
                     }
                 }
                 let Some(primary) = primary.filter(|_| !expired) else {
                     // The deadline expired, or no source emitted: the
-                    // round's users fall to the terminal stage.
+                    // round's users fall to the terminal stage. So do the
+                    // users waiting for the later sources, whom only an
+                    // expired deadline leaves here, uncounted by the call
+                    // it cancelled.
+                    stats.deadline_skips += waiting.len() as u64;
                     empty.extend_from_slice(&round);
+                    empty.append(&mut waiting);
                     break;
                 };
                 // The highest-priority source that emitted supplies the
@@ -1390,7 +1426,13 @@ impl ServingEngine {
                     ModelSlot::Bpr => self.quant_cf_rows(),
                     _ => None,
                 };
-                let mut short = Vec::new();
+                // Closest Items scores as its `score` does, from the
+                // user's Eq. 1 query, built once per user, not per book.
+                let closest = self
+                    .closest
+                    .as_ref()
+                    .filter(|_| primary == ModelSlot::ClosestItems);
+                let mut widen = Vec::new();
                 for &i in &round {
                     merge_into([emitted[i].as_slice()], &mut pool);
                     let user = users[i];
@@ -1404,8 +1446,8 @@ impl ServingEngine {
                             filter.retain(&ctx, &mut pool);
                         }
                     }
-                    match (quant_cf, scorer) {
-                        (Some((qu, qi)), _) => {
+                    match (quant_cf, closest, scorer) {
+                        (Some((qu, qi)), _, _) => {
                             let urow = qu.row(user.index());
                             rank_pool_into(
                                 &pool,
@@ -1415,7 +1457,24 @@ impl ServingEngine {
                                 &mut ranked,
                             );
                         }
-                        (None, Some(model)) => rank_pool_into(
+                        (None, Some(closest), _) => {
+                            let known = closest.query_into(user, &mut query);
+                            let store = closest.store();
+                            rank_pool_into(
+                                &pool,
+                                k,
+                                |b| {
+                                    if known {
+                                        vecops::dot(&query, store.embedding(b as usize))
+                                    } else {
+                                        0.0
+                                    }
+                                },
+                                &mut top,
+                                &mut ranked,
+                            );
+                        }
+                        (None, None, Some(model)) => rank_pool_into(
                             &pool,
                             k,
                             |b| model.score(user, BookIdx(b)),
@@ -1423,11 +1482,20 @@ impl ServingEngine {
                             &mut ranked,
                         ),
                         // The primary model vanished.
-                        (None, None) => ranked.clear(),
+                        (None, None, None) => ranked.clear(),
                     }
-                    if !unrun.is_empty() && ranked.len() < k {
-                        short.push(i);
-                        continue;
+                    if ranked.len() < k {
+                        // A full top k the filters thinned asks the
+                        // primary again; a short one already holds all
+                        // the primary has.
+                        if narrow && emitted[i].len() == k {
+                            widen.push(i);
+                            continue;
+                        }
+                        if !unrun.is_empty() {
+                            waiting.push(i);
+                            continue;
+                        }
                     }
                     if ranked.is_empty() {
                         // Empty pool, everything filtered out, or no
@@ -1448,7 +1516,15 @@ impl ServingEngine {
                     }
                     out[i] = std::mem::take(&mut ranked);
                 }
-                round = short;
+                // The thinned users ask the primary again in a round of
+                // their own; then every user still short runs the later
+                // sources, in one round.
+                narrow = !widen.is_empty();
+                round = if narrow {
+                    widen
+                } else {
+                    std::mem::take(&mut waiting)
+                };
             }
         }
 

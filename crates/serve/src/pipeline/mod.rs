@@ -31,11 +31,13 @@
 //!   its own top-k, re-stamped [`SourceId::Fallback`].
 //!
 //! When the primary source retrieves exhaustively (its emission is its
-//! exact top-`pool_size` under the rank stage's scores), the engine runs
-//! the secondary sources only for the users whose ranked answer comes
-//! out shorter than k: for every other user a secondary's books would
-//! rank below the primary's and, the filters looking backwards, could
-//! not reach the top-k (DESIGN.md §15).
+//! exact top-`pool_size` under the rank stage's scores), the engine asks
+//! it for its top k first, asks again for `pool_size` only for users
+//! whose filters thin that below k, and runs the secondary sources only
+//! for the users whose ranked answer still comes out shorter than k: for
+//! every other user the books beyond the primary's top k would rank
+//! below it and, the filters looking backwards, could not reach the
+//! top-k (DESIGN.md §15).
 //!
 //! The engine runs every slot call, source or terminal, inside one
 //! fault envelope: the per-slot circuit breaker, panic isolation, and
@@ -76,6 +78,9 @@ pub struct PipelineConfig {
     pub sources: Option<Vec<ModelSlot>>,
     /// Candidates each source may emit per user. The effective pool is
     /// `pool_size.max(k)` so a large request never truncates below `k`.
+    /// An exhaustive primary is asked for its top `k` first, and for the
+    /// effective pool only by users whose filters thin that below `k`
+    /// (DESIGN.md §15).
     pub pool_size: usize,
     /// Business-rule filters, applied in order after the merge.
     pub filters: Vec<Arc<dyn CandidateFilter>>,

@@ -338,6 +338,77 @@ fn request_deadline_cancels_the_second_round() {
     fx.cleanup();
 }
 
+/// A filter that drops each pool's first candidate, which thins every
+/// full top k.
+#[derive(Debug)]
+struct DropFirst;
+
+impl CandidateFilter for DropFirst {
+    fn retain(&self, _: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
+        if !pool.is_empty() {
+            pool.remove(0);
+        }
+    }
+}
+
+/// An exhaustive primary is asked for its top k first, and a user whose
+/// filters thin that below k asks it again for its whole pool: a call
+/// the deadline cancels like any other. BPR stalls past the budget, so
+/// that user answers empty where one call for the whole pool used to
+/// fill it; without the filter the user keeps BPR's top k. Every user
+/// still unanswered when the deadline cancels a call is counted once,
+/// those waiting for the later sources too.
+#[test]
+fn request_deadline_cancels_the_widened_primary() {
+    let fx = train_fixture("deadline-widened");
+    let engine_with = |filter: Option<Arc<dyn CandidateFilter>>| {
+        let clock = Arc::new(FakeClock::new());
+        let mut builder = chaos_builder(&clock)
+            .pipeline_sources(vec![
+                ModelSlot::Bpr,
+                ModelSlot::ClosestItems,
+                ModelSlot::MostRead,
+            ])
+            .request_budget(Duration::from_millis(30))
+            .no_breaker();
+        if let Some(filter) = filter {
+            builder = builder.filter(filter);
+        }
+        let plan = FaultPlan::none().latency(ModelSlot::Bpr, Duration::from_millis(40));
+        let config = builder.build().expect("valid config");
+        ServingEngine::load_with_faults(&fx.registry, &fx.train, config, plan)
+            .expect("engine loads")
+    };
+    let user = user_with_history(&fx.train);
+
+    let kept = engine_with(None);
+    assert_eq!(kept.recommend(user, 5), fx.bpr.recommend(user, 5));
+    assert_eq!(kept.metrics().deadline_skips, 0);
+
+    let thinned = engine_with(Some(Arc::new(DropFirst)));
+    assert!(thinned.recommend(user, 5).is_empty());
+    let m = thinned.metrics();
+    assert_eq!(m.deadline_skips, 1);
+    assert_eq!(m.served, [0; ModelSlot::COUNT]);
+
+    // k is one more than the books the longest reader has not read, so
+    // that reader's top k comes back short and waits for the later
+    // sources while the shortest reader asks BPR again.
+    let history = |u: &UserIdx| fx.train.seen(*u).len();
+    let every = || (0..fx.train.n_users() as u32).map(UserIdx);
+    let widened = every().min_by_key(history).expect("a user");
+    let waiting = every().max_by_key(history).expect("a user");
+    let k = fx.train.n_books() - history(&waiting) + 1;
+    assert!(history(&widened) < history(&waiting) && k < 256, "k {k}");
+    let batch = engine_with(Some(Arc::new(DropFirst)));
+    let answers = batch.recommend_batch(&[widened, waiting], k);
+    assert!(answers.iter().all(Vec::is_empty), "{answers:?}");
+    let m = batch.metrics();
+    assert_eq!(m.deadline_skips, 2);
+    assert_eq!(m.served, [0; ModelSlot::COUNT]);
+    fx.cleanup();
+}
+
 #[test]
 fn corrupt_on_save_degrades_exactly_that_slot() {
     silence_injected_panics();

@@ -5,9 +5,12 @@
 use rm_core::Recommender;
 use rm_dataset::ids::UserIdx;
 use rm_serve::engine::{EngineConfig, ModelSlot, ServingEngine};
-use rm_serve::pipeline::{AlreadyBorrowedFilter, BookGenres, DiversityCapFilter, Reason, SourceId};
+use rm_serve::pipeline::{
+    AlreadyBorrowedFilter, BookGenres, Candidate, CandidateFilter, DiversityCapFilter, FilterCtx,
+    Reason, SourceId,
+};
 use rm_serve::registry::ArtifactRegistry;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 mod common;
 use common::{train_fixture, unique_dir, Fixture};
@@ -184,6 +187,97 @@ fn ann_registries(tag: &str) -> (Fixture, ArtifactRegistry) {
     let with_ann = ArtifactRegistry::new(unique_dir(&format!("{tag}-ann")));
     fx.save(&with_ann, Some(&fx.ann()), None);
     (fx, with_ann)
+}
+
+/// Records the length of every pool it sees, per user; keeps them all.
+#[derive(Debug, Default)]
+struct PoolLengths(Mutex<Vec<(UserIdx, usize)>>);
+
+impl CandidateFilter for PoolLengths {
+    fn retain(&self, ctx: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
+        let mut seen = self
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        seen.push((ctx.user, pool.len()));
+    }
+}
+
+impl PoolLengths {
+    /// The lengths recorded for `user`, in the order its pools came.
+    fn of(&self, user: UserIdx) -> Vec<usize> {
+        let seen = self
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        seen.iter()
+            .filter(|(u, _)| *u == user)
+            .map(|&(_, n)| n)
+            .collect()
+    }
+}
+
+/// Drops each pool's first candidate, which thins every full top k.
+#[derive(Debug)]
+struct DropFirst;
+
+impl CandidateFilter for DropFirst {
+    fn retain(&self, _: &FilterCtx<'_>, pool: &mut Vec<Candidate>) {
+        if !pool.is_empty() {
+            pool.remove(0);
+        }
+    }
+}
+
+/// An exhaustive primary is asked for its top k, not its pool: the
+/// filters see at most k candidates per user. A user whose filters thin
+/// that below k asks again, and the filters then see the whole pool. An
+/// IVF primary, which can miss books a later source finds, is still
+/// asked for its pool.
+#[test]
+fn an_exhaustive_primary_is_asked_for_its_top_k_first() {
+    let (fx, with_ann) = ann_registries("first-ask");
+    let (k, pool_size) = (5, 256);
+    let serve = |registry: &ArtifactRegistry, drop_first: bool| {
+        let lengths = Arc::new(PoolLengths::default());
+        let mut builder = EngineConfig::builder()
+            .pool_size(pool_size)
+            .filter(Arc::clone(&lengths) as Arc<dyn CandidateFilter>);
+        if drop_first {
+            builder = builder.filter(Arc::new(DropFirst));
+        }
+        let config = builder.build().expect("valid config");
+        let engine = ServingEngine::load(registry, &fx.train, config).expect("engine loads");
+        let users: Vec<UserIdx> = (0..fx.train.n_users() as u32).map(UserIdx).collect();
+        (engine.recommend_batch(&users, k), lengths)
+    };
+
+    // The default config: BPR on exact f32 rows.
+    let (answers, lengths) = serve(&fx.registry, false);
+    for (u, answer) in answers.iter().enumerate() {
+        let user = UserIdx(u as u32);
+        assert_eq!(*answer, fx.bpr.recommend(user, k), "user {u}");
+        assert_eq!(lengths.of(user), [k], "user {u}");
+    }
+
+    // Every top k is thinned: the filters see k, then the whole pool
+    // (every unseen book: the Tiny catalogue holds fewer than 256).
+    let (answers, lengths) = serve(&fx.registry, true);
+    for (u, answer) in answers.iter().enumerate() {
+        let user = UserIdx(u as u32);
+        let whole = fx.bpr.recommend(user, pool_size);
+        assert_eq!(lengths.of(user), [k, whole.len()], "user {u}");
+        assert_eq!(answer[..], whole[1..=k], "user {u}");
+    }
+
+    // An IVF primary: each user's one pool holds more than k.
+    let (_, lengths) = serve(&with_ann, false);
+    for u in 0..fx.train.n_users() as u32 {
+        let pools = lengths.of(UserIdx(u));
+        assert!(matches!(pools[..], [n] if n > k), "user {u}: {pools:?}");
+    }
+    fx.cleanup();
+    let _ = std::fs::remove_dir_all(with_ann.dir());
 }
 
 /// At `nprobe = usize::MAX` (clamped to every posting list) the

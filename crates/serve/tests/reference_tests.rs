@@ -10,13 +10,16 @@
 //! the content source has nothing for those users.
 //!
 //! Small pools and a cap of one per genre leave many users short, so the
-//! engine's second round runs as well as its skip. An IVF primary keeps
-//! every source eager. Each case is served once as a batch, which ranks
-//! a second round over a subset of the chunk, and once per user with
-//! explanations. The batch's `slot_call` trace events pin the rounds
-//! themselves: behind an exhaustive primary, the primary runs once over
-//! every user and each later source once over exactly the users the
-//! reference finds short (not at all when none is); behind the IVF
+//! engine's later rounds run as well as its skip. An IVF primary keeps
+//! every source eager; under a Closest Items IVF primary the rank stage
+//! scores whole merged pools with Closest Items. Each case is served
+//! once as a batch, which ranks later rounds over subsets of the chunk,
+//! and once per user with explanations. The batch's `slot_call` trace
+//! events pin the rounds themselves. Behind an exhaustive primary, the
+//! primary runs once over every user, again over exactly the users whose
+//! top k (the primary's `emit_batch(users, k)`) came back full and was
+//! thinned below k, and each later source once over exactly the users
+//! the reference finds short (no call over no user). Behind an IVF
 //! primary, each source runs once over every user.
 //!
 //! An unoptimised build checks every seventh user and every blanked one
@@ -45,6 +48,7 @@ use rm_util::clock::MonotonicClock;
 use rm_util::trace::{Tracer, Value};
 use rm_util::TopK;
 use std::collections::BTreeMap;
+use std::slice;
 use std::sync::Arc;
 
 mod common;
@@ -226,6 +230,14 @@ fn lazy_engine_matches_the_eager_stage_reference() {
             [B, C, M],
             1,
         ),
+        setup(
+            "closest-ivf",
+            &with_ivf,
+            Some(&ann),
+            Some(&i8_rows),
+            [C, B, M],
+            1,
+        ),
     ];
     let cases = [
         Filters::None,
@@ -260,6 +272,10 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                         })
                         .collect()
                 });
+                // An exhaustive primary is asked for its top k first.
+                let narrow = setup.ann.is_none() && k < effective;
+                let mut top_k = Vec::new();
+                sources[0].emit_batch(&users, k, &mut top_k);
                 for filters in cases {
                     let what = format!("{} pool {pool_size} k {k} {filters:?}", setup.label);
                     let filters = filters.build(k);
@@ -288,7 +304,7 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                         .filter(|event| event.name == "slot_call")
                         .map(|event| event.fields)
                         .collect();
-                    let mut short_users = Vec::new();
+                    let (mut thinned_users, mut short_users) = (Vec::new(), Vec::new());
                     for (u, &user) in users.iter().enumerate() {
                         let ctx = FilterCtx {
                             user,
@@ -304,6 +320,9 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                             rank_pool_into(&pool, k, by_primary, &mut top, &mut ranked);
                             ranked.len()
                         };
+                        if narrow && top_k[u].len() == k && rank(slice::from_ref(&top_k)) < k {
+                            thinned_users.push(u);
+                        }
                         if rank(&emitted[..1]) < k {
                             short += 1;
                             short_users.push(u);
@@ -320,11 +339,20 @@ fn lazy_engine_matches_the_eager_stage_reference() {
                         assert_eq!(served.0, ranked, "{what} user {}", user.0);
                         assert_eq!(served.1, explained, "{what} user {}", user.0);
                     }
+                    // The primary over every user, then again over the users
+                    // whose full top k was thinned below k, then each later
+                    // source over the short users (behind an exhaustive
+                    // primary) or over every user.
                     let every: Vec<usize> = (0..users.len()).collect();
-                    let expected: Vec<_> = (0..setup.sources.len())
-                        .filter_map(|s| {
-                            let lazy = s > 0 && setup.ann.is_none();
-                            let over = if lazy { &short_users } else { &every };
+                    let later = if setup.ann.is_none() {
+                        &short_users
+                    } else {
+                        &every
+                    };
+                    let expected: Vec<_> = [(0, &every), (0, &thinned_users)]
+                        .into_iter()
+                        .chain((1..setup.sources.len()).map(|s| (s, later)))
+                        .filter_map(|(s, over)| {
                             let served = over.iter().filter(|&&u| !emitted[s][u].is_empty());
                             (!over.is_empty())
                                 .then(|| ok_call(setup.sources[s], over.len(), served.count()))

@@ -90,11 +90,12 @@ cargo test -q -p rm-sparse vecops
 cargo test -q -p rm-sparse dense
 # The kernels vectorise only in optimised builds, and the bit-identity
 # contract has to hold for that lowering too; the Closest Items batch
-# tests run its four-user scan on it. The engine skips the secondary
-# sources for users an exhaustive primary fills only because the
-# primary's scan scores bit-identically to the rank stage, so the
-# differential reference check of the engine runs on it as well, over
-# every Tiny user.
+# tests run its four-user scan on it. The engine asks an exhaustive
+# primary for its top k first, and skips the secondary sources for
+# users that fills, only because the primary's scan scores
+# bit-identically to the rank stage, so the differential reference
+# check of the engine (its answers and its slot calls) runs on it as
+# well, over every Tiny user.
 cargo test --release -q -p rm-sparse
 cargo test --release -q -p rm-core closest
 cargo test --release -q -p rm-serve --test reference_tests
