@@ -4,11 +4,12 @@
 //! [`ArtifactRegistry`] and answers [`ServingEngine::recommend`] /
 //! [`ServingEngine::recommend_batch`] requests through the candidate
 //! pipeline (sources → merge → filters → rank, see [`crate::pipeline`]):
-//! the configured [`CandidateSource`]s emit provenance-stamped
-//! candidate pools, the pools are merged and filtered, and the primary
-//! source's model re-scores the survivors down to top-k (behind a
-//! primary that retrieves exhaustively, the other sources run only for
-//! the users it leaves short of k). Users the
+//! the configured slots' [`CandidateSource`](crate::pipeline::CandidateSource)s
+//! emit provenance-stamped candidate pools, the pools are merged and
+//! filtered, and the primary source re-scores the survivors down to
+//! top-k by the score it retrieves by (behind a primary that retrieves
+//! exhaustively, the other sources run only for the users it leaves
+//! short of k). Users the
 //! pipeline could not serve — every source degraded, breaker-open,
 //! panicking, or simply empty-handed — go to the pipeline's terminal
 //! stage: the remaining fallback-chain slots (default BPR → Closest
@@ -57,21 +58,19 @@ use crate::overload::{
     DegradationLevel, LevelTransition, OverloadConfig, OverloadGovernor, ShedReason,
 };
 use crate::pipeline::{
-    merge_into, rank_pool_into, BookGenres, Candidate, CandidateFilter, CandidateSource,
-    CfNeighboursSource, ContentSimilarSource, FallbackSource, FilterCtx, MostReadSource,
-    PipelineConfig, SourceId,
+    merge_into, BookGenres, Candidate, CandidateFilter, CfNeighboursSource, ContentSimilarSource,
+    FilterCtx, MostReadSource, PipelineConfig, SlotSource, SourceId,
 };
 use crate::registry::{ArtifactRegistry, LoadedArtifacts, SlotError, SlotResult};
 use rm_core::bpr::{Bpr, BprConfig};
 use rm_core::closest::ClosestItems;
 use rm_core::most_read::MostReadItems;
-use rm_core::quant::{QuantArtifact, QuantMatrix};
+use rm_core::quant::QuantArtifact;
 use rm_core::random::RandomItems;
 use rm_core::Recommender;
-use rm_dataset::ids::{BookIdx, UserIdx};
+use rm_dataset::ids::UserIdx;
 use rm_dataset::interactions::Interactions;
 use rm_embed::AnnArtifact;
-use rm_sparse::vecops;
 use rm_util::clock::{Backoff, Clock, Deadline, MonotonicClock};
 use rm_util::trace::Tracer;
 use rm_util::{RecError, TopK};
@@ -499,9 +498,12 @@ impl PipelinePlan {
 enum SlotRun {
     /// The slot's source emitted one candidate list per pending user.
     Emitted(Vec<Vec<Candidate>>),
-    /// Skipped or failed (degraded, breaker open, injected error, panic,
-    /// timeout): every pending user falls through to the next slot.
-    FellThrough,
+    /// The slot is degraded: every pending user falls through to the
+    /// next slot.
+    Skipped,
+    /// The call failed (breaker open, injected error, panic, timeout):
+    /// every pending user falls through, and the chunk caches nothing.
+    Failed,
     /// The request deadline had expired: the chunk stops serving.
     Expired,
 }
@@ -862,24 +864,6 @@ impl ServingEngine {
         &self.quant_notes
     }
 
-    /// The quantized factor sections, when validated: `(user, item)`
-    /// zero-copy row views.
-    fn quant_cf_rows(&self) -> Option<(QuantMatrix<'_>, QuantMatrix<'_>)> {
-        if !self.quant_cf_active {
-            return None;
-        }
-        let art = self.quant.as_ref()?;
-        Some((art.user_factors()?, art.item_factors()?))
-    }
-
-    /// The quantized embeddings section, when validated.
-    fn quant_embedding_rows(&self) -> Option<QuantMatrix<'_>> {
-        if !self.quant_content_active {
-            return None;
-        }
-        self.quant.as_ref()?.embeddings()
-    }
-
     /// The slots that failed to load, with the reason — the health report
     /// an operator would page on.
     #[must_use]
@@ -970,64 +954,42 @@ impl ServingEngine {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn slot_model(&self, slot: ModelSlot) -> Option<&dyn Recommender> {
-        match slot {
-            ModelSlot::Bpr => self.bpr.as_ref().map(|m| m as &dyn Recommender),
-            ModelSlot::ClosestItems => self.closest.as_ref().map(|m| m as &dyn Recommender),
-            ModelSlot::MostRead => self.most_read.as_ref().map(|m| m as &dyn Recommender),
-            ModelSlot::Random => Some(&self.random),
-        }
-    }
-
-    /// Wraps `slot`'s loaded model as its candidate source (`None` when
-    /// the slot is degraded, mirroring [`Self::slot_model`]), applying
-    /// the validated IVF index and quantized rows. `exact` asks for the
-    /// plain f32 scan instead: a terminal slot answers exactly what its
-    /// model would.
-    fn slot_source(&self, slot: ModelSlot, exact: bool) -> Option<Box<dyn CandidateSource + '_>> {
+    /// Wraps `slot`'s loaded model as its source (`None` when the slot is
+    /// degraded), applying the validated IVF index and quantized rows (a
+    /// dropped quant half is a cleared flag). `exact` asks for the plain
+    /// f32 scan instead: a terminal slot answers exactly what its model
+    /// would.
+    fn slot_source(&self, slot: ModelSlot, exact: bool) -> Option<SlotSource<'_>> {
         let nprobe = self.config.pipeline.ann_nprobe;
         let ann = Some(&self.ann).filter(|_| !exact);
+        let quant = |active: bool| self.quant.as_ref().filter(|_| active && !exact);
         Some(match slot {
             ModelSlot::Bpr => {
                 let mut source = CfNeighboursSource::new(self.bpr.as_ref()?);
                 if let Some(index) = ann.and_then(|a| a.cf.as_ref()) {
                     source = source.ivf(index, nprobe);
                 }
-                if let Some((user, item)) = self.quant_cf_rows().filter(|_| !exact) {
-                    source = source.with_quant(user, item);
+                let cf = quant(self.quant_cf_active);
+                if let Some((u, i)) = cf.and_then(|q| q.user_factors().zip(q.item_factors())) {
+                    source = source.with_quant(u, i);
                 }
-                Box::new(source)
+                SlotSource::Cf(source)
             }
             ModelSlot::ClosestItems => {
                 let mut source = ContentSimilarSource::new(self.closest.as_ref()?, &self.train);
                 if let Some(index) = ann.and_then(|a| a.content.as_ref()) {
                     source = source.ivf(index, nprobe);
                 }
-                if let Some(embeddings) = self.quant_embedding_rows().filter(|_| !exact) {
-                    source = source.with_quant(embeddings);
+                if let Some(rows) = quant(self.quant_content_active).and_then(|q| q.embeddings()) {
+                    source = source.with_quant(rows);
                 }
-                Box::new(source)
+                SlotSource::Content(source)
             }
-            ModelSlot::MostRead => Box::new(MostReadSource::new(self.most_read.as_ref()?)),
-            ModelSlot::Random => Box::new(FallbackSource::new(&self.random)),
+            ModelSlot::MostRead => {
+                SlotSource::MostRead(MostReadSource::new(self.most_read.as_ref()?))
+            }
+            ModelSlot::Random => SlotSource::Random(&self.random),
         })
-    }
-
-    /// Whether `slot`'s pipeline source, as [`Self::slot_source`]
-    /// installs it, emits its exact top `n` under the scores the rank
-    /// stage ranks by, ties toward the lower index: BPR (f32 or
-    /// quantized rows, which it scans with the rank stage's row dot) and
-    /// Closest Items when no IVF index is installed, and Most Read (its
-    /// f32 scores order exactly as its read counts below 2^24). An IVF
-    /// probe can miss books a later source finds, and Random's shuffle
-    /// is not the order of its hash scores.
-    fn exhaustive(&self, slot: ModelSlot) -> bool {
-        match slot {
-            ModelSlot::Bpr => self.ann.cf.is_none(),
-            ModelSlot::ClosestItems => self.ann.content.is_none(),
-            ModelSlot::MostRead => true,
-            ModelSlot::Random => false,
-        }
     }
 
     /// Asks `slot`'s breaker to admit a call, folding any state
@@ -1253,20 +1215,20 @@ impl ServingEngine {
     ///    users, one attempt each; the first that emits is the primary.
     ///    Per user, the emissions so far are pooled best-first
     ///    (first-source-wins provenance), pruned by the configured
-    ///    filters, and re-scored by the primary source's model down to
-    ///    top-k. When the primary retrieves exhaustively (its emission is
-    ///    its exact top-`pool_size` under the rank stage's scores: BPR or
-    ///    Closest Items with no IVF index, or Most Read), the first round
-    ///    asks it for its top k alone and stops at it. Users whose full
-    ///    top k the filters thin below k ask it again, for `pool_size`,
-    ///    in a round of their own; then every user still short of k
-    ///    forms one more round, which runs the remaining sources. For
-    ///    every other user the answer is what running every source for
-    ///    `pool_size` would give: the top k is the prefix of the top
-    ///    `pool_size` in the same order, each book a later source adds
-    ///    ranks below every primary book, and the filters only look
-    ///    backwards, so the filtered prefix holds the top-k
-    ///    (DESIGN.md §15);
+    ///    filters, and re-scored down to top-k by the primary's
+    ///    [`SlotSource`], by the score it retrieves by. When that source
+    ///    retrieves exhaustively ([`SlotSource::exhaustive`]: its emission
+    ///    is its exact top-`pool_size` under those scores), the first
+    ///    round asks it for its top k alone and stops at it. Users whose
+    ///    full top k the filters thin below k ask it again, for
+    ///    `pool_size`, in a round of their own; then every user still
+    ///    short of k forms one more round, which runs the remaining
+    ///    sources. For every other user the answer is what running every
+    ///    source for `pool_size` would give: the top k is the prefix of
+    ///    the top `pool_size` in the same order, each book a later source
+    ///    adds ranks below every primary book, and the filters only look
+    ///    backwards, so the filtered prefix holds the top-k (DESIGN.md
+    ///    §15);
     /// 2. **Terminals** — users the rounds left empty try the plan's
     ///    terminal slots in order, each slot's exact-scan source
     ///    answering with its own top-k (one attempt per slot per chunk).
@@ -1281,7 +1243,11 @@ impl ServingEngine {
     /// runs everything exactly as configured; deeper levels prune
     /// expensive sources, then filters, then the pipeline itself, down
     /// to the most-read list. Degraded answers are never written to the
-    /// cache — only full-service lists may outlive the brownout.
+    /// cache — only full-service lists may outlive the brownout — and
+    /// neither is any answer of a chunk in which a slot call failed (a
+    /// panic, a timeout, an injected error or an open breaker), which
+    /// would outlive the fault. A slot degraded at load is not a failed
+    /// call: that state lasts the epoch the cache key carries.
     #[allow(clippy::too_many_lines)] // one request's full story reads best in one place
     fn serve_chunk_with(
         &self,
@@ -1331,7 +1297,7 @@ impl ServingEngine {
             .request_budget
             .map(|budget| Deadline::after(&*self.config.clock, budget));
         let plan = &self.plans[level.index()];
-        let mut expired = false;
+        let (mut expired, mut failed) = (false, false);
         // Chunk positions of the users the rounds leave empty: every miss
         // when the plan has no sources.
         let mut empty = misses.clone();
@@ -1348,6 +1314,7 @@ impl ServingEngine {
             let (mut pool, mut top, mut ranked) = (Vec::new(), TopK::new(1), Vec::new());
             let mut query = Vec::new();
             let mut unrun = plan.sources.as_slice();
+            // The first source that emitted: its slot and its source.
             let mut primary = None;
             // Whether the round's users hold only the primary's top k.
             let mut narrow = false;
@@ -1356,28 +1323,31 @@ impl ServingEngine {
             let mut waiting = Vec::new();
             while !round.is_empty() {
                 let pending: Vec<UserIdx> = round.iter().map(|&i| users[i]).collect();
-                if let Some(slot) = primary.filter(|_| narrow) {
+                if let Some((slot, source)) = primary.filter(|_| narrow) {
                     // The filters thinned these users' top k below k: the
                     // primary's whole pool replaces it.
                     narrow = false;
-                    match self.run_slot(slot, false, &pending, pool_size, deadline, &mut stats) {
+                    let source = Some(source);
+                    match self.run_slot(slot, source, &pending, pool_size, deadline, &mut stats) {
                         SlotRun::Emitted(candidates) => {
                             for (&i, emission) in round.iter().zip(candidates) {
                                 emitted[i] = emission;
                             }
                         }
-                        SlotRun::FellThrough => {}
+                        SlotRun::Skipped => {}
+                        SlotRun::Failed => failed = true,
                         SlotRun::Expired => expired = true,
                     }
                 } else {
                     while let Some((&slot, rest)) = unrun.split_first() {
                         unrun = rest;
+                        let source = self.slot_source(slot, false);
                         // An exhaustive source asked before any has emitted
                         // is asked for its top k, the prefix of its top
                         // pool_size.
-                        let lazy = primary.is_none() && self.exhaustive(slot);
+                        let lazy = primary.is_none() && source.is_some_and(|s| s.exhaustive());
                         let n = if lazy { k } else { pool_size };
-                        match self.run_slot(slot, false, &pending, n, deadline, &mut stats) {
+                        match self.run_slot(slot, source, &pending, n, deadline, &mut stats) {
                             SlotRun::Emitted(candidates) => {
                                 for (&i, emission) in round.iter().zip(candidates) {
                                     if emitted[i].is_empty() {
@@ -1389,14 +1359,15 @@ impl ServingEngine {
                                 // Behind an exhaustive primary the later
                                 // sources wait for the users it leaves short.
                                 if primary.is_none() {
-                                    primary = Some(slot);
+                                    primary = source.map(|source| (slot, source));
                                     if lazy {
                                         narrow = k < pool_size;
                                         break;
                                     }
                                 }
                             }
-                            SlotRun::FellThrough => {}
+                            SlotRun::Skipped => {}
+                            SlotRun::Failed => failed = true,
                             SlotRun::Expired => {
                                 expired = true;
                                 break;
@@ -1404,34 +1375,19 @@ impl ServingEngine {
                         }
                     }
                 }
-                let Some(primary) = primary.filter(|_| !expired) else {
+                let Some((primary, source)) = primary.filter(|_| !expired) else {
                     // The deadline expired, or no source emitted: the
                     // round's users fall to the terminal stage. So do the
                     // users waiting for the later sources, whom only an
                     // expired deadline leaves here, uncounted by the call
                     // it cancelled.
-                    stats.deadline_skips += waiting.len() as u64;
+                    if !waiting.is_empty() {
+                        self.deadline_skip(waiting.len(), &mut stats);
+                    }
                     empty.extend_from_slice(&round);
                     empty.append(&mut waiting);
                     break;
                 };
-                // The highest-priority source that emitted supplies the
-                // rank-stage scoring model; with the default single source
-                // this reproduces the legacy slot's own ranking bit-for-bit.
-                let scorer = self.slot_model(primary);
-                // Under a BPR primary with validated quantized factors the
-                // rank stage scores from the compact rows; any mismatch or
-                // corruption fell back to `scorer` (exact f32) at install.
-                let quant_cf = match primary {
-                    ModelSlot::Bpr => self.quant_cf_rows(),
-                    _ => None,
-                };
-                // Closest Items scores as its `score` does, from the
-                // user's Eq. 1 query, built once per user, not per book.
-                let closest = self
-                    .closest
-                    .as_ref()
-                    .filter(|_| primary == ModelSlot::ClosestItems);
                 let mut widen = Vec::new();
                 for &i in &round {
                     merge_into([emitted[i].as_slice()], &mut pool);
@@ -1446,44 +1402,10 @@ impl ServingEngine {
                             filter.retain(&ctx, &mut pool);
                         }
                     }
-                    match (quant_cf, closest, scorer) {
-                        (Some((qu, qi)), _, _) => {
-                            let urow = qu.row(user.index());
-                            rank_pool_into(
-                                &pool,
-                                k,
-                                |b| qi.row(b as usize).dot(&urow),
-                                &mut top,
-                                &mut ranked,
-                            );
-                        }
-                        (None, Some(closest), _) => {
-                            let known = closest.query_into(user, &mut query);
-                            let store = closest.store();
-                            rank_pool_into(
-                                &pool,
-                                k,
-                                |b| {
-                                    if known {
-                                        vecops::dot(&query, store.embedding(b as usize))
-                                    } else {
-                                        0.0
-                                    }
-                                },
-                                &mut top,
-                                &mut ranked,
-                            );
-                        }
-                        (None, None, Some(model)) => rank_pool_into(
-                            &pool,
-                            k,
-                            |b| model.score(user, BookIdx(b)),
-                            &mut top,
-                            &mut ranked,
-                        ),
-                        // The primary model vanished.
-                        (None, None, None) => ranked.clear(),
-                    }
+                    // The primary ranks by the score it retrieves by; with
+                    // the default single source this reproduces the legacy
+                    // slot's own ranking bit-for-bit.
+                    source.rank_into(user, &pool, k, &mut query, &mut top, &mut ranked);
                     if ranked.len() < k {
                         // A full top k the filters thinned asks the
                         // primary again; a short one already holds all
@@ -1498,9 +1420,8 @@ impl ServingEngine {
                         }
                     }
                     if ranked.is_empty() {
-                        // Empty pool, everything filtered out, or no
-                        // scorer: the terminal stage gets another shot
-                        // at this user.
+                        // Empty pool or everything filtered out: the
+                        // terminal stage gets another shot at this user.
                         empty.push(i);
                         continue;
                     }
@@ -1538,9 +1459,14 @@ impl ServingEngine {
                 break;
             }
             let pending: Vec<UserIdx> = empty.iter().map(|&i| users[i]).collect();
-            let candidates = match self.run_slot(slot, true, &pending, k, deadline, &mut stats) {
+            let source = self.slot_source(slot, true);
+            let candidates = match self.run_slot(slot, source, &pending, k, deadline, &mut stats) {
                 SlotRun::Emitted(candidates) => candidates,
-                SlotRun::FellThrough => continue,
+                SlotRun::Skipped => continue,
+                SlotRun::Failed => {
+                    failed = true;
+                    continue;
+                }
                 SlotRun::Expired => break,
             };
             let mut still_empty = Vec::new();
@@ -1564,7 +1490,7 @@ impl ServingEngine {
             empty = still_empty;
         }
 
-        if use_cache && !misses.is_empty() && level == DegradationLevel::Full {
+        if use_cache && !failed && !misses.is_empty() && level == DegradationLevel::Full {
             let mut cache = self.lock_cache();
             for &i in &misses {
                 if !out[i].is_empty() {
@@ -1587,18 +1513,29 @@ impl ServingEngine {
         out
     }
 
+    /// Counts `skipped` users answered empty because the request deadline
+    /// expired, in `deadline_skips` and in one `deadline_expired` trace
+    /// event, so the trace sums to the metric.
+    fn deadline_skip(&self, skipped: usize, stats: &mut ChunkStats) {
+        stats.deadline_skips += skipped as u64;
+        self.config.tracer.event("deadline_expired", |f| {
+            f.push("skipped", skipped);
+        });
+    }
+
     /// The fault envelope around one slot call, source or terminal, over
     /// the chunk's `pending` users — the only one on the serving path.
     /// In order: the request deadline, a degraded slot, breaker
     /// admission, fault injection, panic isolation, and the slot budget,
-    /// each call ending in one `slot_call` trace event. `terminal` asks
-    /// for the slot's exact-scan source; `n` caps each user's emission.
-    /// The users of a skipped or failed call, and those a healthy source
-    /// had nothing for, count as fallbacks of the slot.
+    /// each call ending in one `slot_call` trace event. `source` is the
+    /// slot's source as the caller built it (`None`: the slot is
+    /// degraded); `n` caps each user's emission. The users of a skipped
+    /// or failed call, and those a healthy source had nothing for, count
+    /// as fallbacks of the slot.
     fn run_slot(
         &self,
         slot: ModelSlot,
-        terminal: bool,
+        source: Option<SlotSource<'_>>,
         pending: &[UserIdx],
         n: usize,
         deadline: Option<Deadline>,
@@ -1606,10 +1543,7 @@ impl ServingEngine {
     ) -> SlotRun {
         let tracer = &self.config.tracer;
         if deadline.is_some_and(|d| d.expired(&*self.config.clock)) {
-            stats.deadline_skips += pending.len() as u64;
-            tracer.event("deadline_expired", |f| {
-                f.push("skipped", pending.len());
-            });
+            self.deadline_skip(pending.len(), stats);
             return SlotRun::Expired;
         }
         let fall_through =
@@ -1623,10 +1557,11 @@ impl ServingEngine {
                         f.push("elapsed_ns", elapsed.as_nanos() as u64);
                     }
                 });
-                SlotRun::FellThrough
+                SlotRun::Failed
             };
-        let Some(source) = self.slot_source(slot, terminal) else {
-            return fall_through(stats, "degraded", None);
+        let Some(source) = source else {
+            fall_through(stats, "degraded", None);
+            return SlotRun::Skipped;
         };
         if !self.breaker_admit(slot, stats) {
             stats.breaker_skips[slot.index()] += 1;

@@ -20,24 +20,26 @@
 //! * [`filters`] — [`CandidateFilter`] business rules pruning the pool
 //!   in place, each verdict looking only at the candidates before it;
 //! * [`rank`] — the pooled survivors are re-scored by the primary
-//!   source's model and reduced to top-k with the same deterministic
-//!   [`rm_util::TopK`] selector the recommenders use;
+//!   source, by the score it retrieves by, and reduced to top-k with the
+//!   same deterministic [`rm_util::TopK`] selector the recommenders use;
 //! * [`explain`] — the winning candidates' [`Reason`]s render as
 //!   reader-facing sentences ("because you borrowed X");
 //! * terminals — users the stages above left empty try the fallback
 //!   chain's remaining slots in order, each through its exact-scan
 //!   source ([`CfNeighboursSource`], [`ContentSimilarSource`],
-//!   [`MostReadSource`], or [`FallbackSource`] for Random) answering
-//!   its own top-k, re-stamped [`SourceId::Fallback`].
+//!   [`MostReadSource`], or Random Items' own shuffle) answering its
+//!   own top-k, re-stamped [`SourceId::Fallback`].
 //!
-//! When the primary source retrieves exhaustively (its emission is its
-//! exact top-`pool_size` under the rank stage's scores), the engine asks
-//! it for its top k first, asks again for `pool_size` only for users
-//! whose filters thin that below k, and runs the secondary sources only
-//! for the users whose ranked answer still comes out shorter than k: for
-//! every other user the books beyond the primary's top k would rank
-//! below it and, the filters looking backwards, could not reach the
-//! top-k (DESIGN.md §15).
+//! The engine holds each slot's source as one value that emits, says
+//! whether it retrieves exhaustively, and ranks, so the three agree by
+//! construction. When the primary source retrieves exhaustively (its
+//! emission is its exact top-`pool_size` under the scores it ranks by),
+//! the engine asks it for its top k first, asks again for `pool_size`
+//! only for users whose filters thin that below k, and runs the
+//! secondary sources only for the users whose ranked answer still comes
+//! out shorter than k: for every other user the books beyond the
+//! primary's top k would rank below it and, the filters looking
+//! backwards, could not reach the top-k (DESIGN.md §15).
 //!
 //! The engine runs every slot call, source or terminal, inside one
 //! fault envelope: the per-slot circuit breaker, panic isolation, and
@@ -55,9 +57,10 @@ pub mod sources;
 pub use filters::{AlreadyBorrowedFilter, CandidateFilter, DiversityCapFilter, FilterCtx};
 pub use merge::merge_into;
 pub use rank::rank_pool_into;
+pub(crate) use sources::SlotSource;
 pub use sources::{
     AnnCfNeighboursSource, AnnContentSimilarSource, BookGenres, Candidate, CandidateSource,
-    CfNeighboursSource, ContentSimilarSource, FallbackSource, MostReadSource, Reason, SourceId,
+    CfNeighboursSource, ContentSimilarSource, MostReadSource, Reason, SourceId,
 };
 
 use crate::engine::ModelSlot;

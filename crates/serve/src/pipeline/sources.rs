@@ -13,8 +13,11 @@
 //! [`ContentSimilarSource`] start as their model's exact f32 scan; the
 //! builder steps `ivf(index, nprobe)` and `with_quant(…)` move retrieval
 //! to an IVF index and scoring to quantized rows, and the type's one
-//! `emit_batch` picks the path. The fallback chain's terminal slots are
-//! served by the plain exact scans, asked for `k` candidates.
+//! `emit_batch` picks the path. The engine holds each slot's source as
+//! one `SlotSource` value, which emits, says whether it retrieves
+//! exhaustively, and ranks a pool by the score it retrieves by. The
+//! fallback chain's terminal slots are served by the plain exact scans,
+//! asked for `k` candidates.
 //!
 //! Sources are ranked *suggestions*, not answers: the pipeline merges,
 //! filters, and re-scores the pooled candidates, so a source only has
@@ -22,6 +25,7 @@
 //! for a fixed model + training matrix.
 
 use crate::engine::ModelSlot;
+use crate::pipeline::rank_pool_into;
 use rm_core::bpr::Bpr;
 use rm_core::closest::ClosestItems;
 use rm_core::most_read::MostReadItems;
@@ -34,6 +38,7 @@ use rm_dataset::interactions::Interactions;
 use rm_embed::ivf::{IvfIndex, IvfScratch};
 use rm_embed::store::EmbeddingStore;
 use rm_sparse::vecops;
+use rm_util::TopK;
 
 /// Which source proposed a candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,9 +116,6 @@ pub struct Candidate {
 /// book the user has already borrowed (every wrapped recommender
 /// excludes the seen set by contract).
 pub trait CandidateSource: Send + Sync {
-    /// The source's identity, stamped on every candidate it emits.
-    fn id(&self) -> SourceId;
-
     /// Emits up to `pool_size` candidates per user, best first. `out`
     /// is resized to `users.len()`; each inner `Vec` is cleared and
     /// refilled in place. An empty inner list means the source has
@@ -189,14 +191,28 @@ impl<'a> CfNeighboursSource<'a> {
         self.quant = Some((user, item));
         self
     }
+
+    /// The score the source retrieves `user`'s books by, which also
+    /// ranks them: the quantized row dot under
+    /// [`CfNeighboursSource::with_quant`], otherwise BPR's f32 score (0
+    /// from an unfitted model).
+    fn scorer(&self, user: UserIdx) -> impl Fn(u32) -> f32 + 'a {
+        let quant = self.quant.map(|(qu, qi)| (qu.row(user.index()), qi));
+        let exact = self
+            .bpr
+            .model()
+            .map(|m| (m.user_factors.row(user.index()), &m.item_factors));
+        move |b| match (&quant, exact) {
+            (Some((urow, qi)), _) => qi.row(b as usize).dot(urow),
+            (None, Some((urow, items))) => vecops::dot(urow, items.row(b as usize)),
+            (None, None) => 0.0,
+        }
+    }
 }
 
 impl CandidateSource for CfNeighboursSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::CfNeighbours
-    }
-
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
+        let id = SourceId::CfNeighbours;
         let reason = |_| |_| Reason::CfNeighbours;
         let fitted = self.bpr.model().zip(self.bpr.train());
         let (Some((index, nprobe)), Some((model, train))) = (self.ivf, fitted) else {
@@ -204,9 +220,9 @@ impl CandidateSource for CfNeighboursSource<'_> {
             match (self.quant, fitted) {
                 (Some((qu, qi)), Some((_, train))) => {
                     let rec = QuantRecommender::from_rows(qu, qi, train);
-                    emit_ranked(&rec, self.id(), users, pool_size, out, reason);
+                    emit_ranked(&rec, id, users, pool_size, out, reason);
                 }
-                _ => emit_ranked(self.bpr, self.id(), users, pool_size, out, reason),
+                _ => emit_ranked(self.bpr, id, users, pool_size, out, reason),
             }
             return;
         };
@@ -215,18 +231,12 @@ impl CandidateSource for CfNeighboursSource<'_> {
         out.resize_with(users.len(), Vec::new);
         for (&u, slot) in users.iter().zip(out.iter_mut()) {
             slot.clear();
-            let query = model.user_factors.row(u.index());
-            let quant = self.quant.map(|(qu, qi)| (qu.row(u.index()), qi));
-            let score = |i: u32| match &quant {
-                Some((urow, qi)) => qi.row(i as usize).dot(urow),
-                None => vecops::dot(query, model.item_factors.row(i as usize)),
-            };
             index.search_into(
-                query,
+                model.user_factors.row(u.index()),
                 pool_size,
                 nprobe,
                 train.seen(u),
-                score,
+                self.scorer(u),
                 &mut scratch,
                 &mut ids,
             );
@@ -287,15 +297,12 @@ impl<'a> ContentSimilarSource<'a> {
 }
 
 impl CandidateSource for ContentSimilarSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::ContentSimilar
-    }
-
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
         let store = self.closest.store();
         let Some((index, nprobe)) = self.ivf else {
             let mut centroid = Vec::new();
-            emit_ranked(self.closest, self.id(), users, pool_size, out, |u| {
+            let id = SourceId::ContentSimilar;
+            emit_ranked(self.closest, id, users, pool_size, out, |u| {
                 let reason = similar_reason(anchor_into(store, self.train.seen(u), &mut centroid));
                 move |_| reason
             });
@@ -364,10 +371,6 @@ impl<'a> AnnCfNeighboursSource<'a> {
 }
 
 impl CandidateSource for AnnCfNeighboursSource<'_> {
-    fn id(&self) -> SourceId {
-        self.0.id()
-    }
-
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
         self.0.emit_batch(users, pool_size, out);
     }
@@ -400,10 +403,6 @@ impl<'a> AnnContentSimilarSource<'a> {
 }
 
 impl CandidateSource for AnnContentSimilarSource<'_> {
-    fn id(&self) -> SourceId {
-        self.0.id()
-    }
-
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
         self.0.emit_batch(users, pool_size, out);
     }
@@ -465,12 +464,9 @@ impl<'a> MostReadSource<'a> {
 }
 
 impl CandidateSource for MostReadSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::MostRead
-    }
-
     fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.most_read, self.id(), users, pool_size, out, |_| {
+        let id = SourceId::MostRead;
+        emit_ranked(self.most_read, id, users, pool_size, out, |_| {
             |b| Reason::MostRead {
                 count: self.most_read.count(BookIdx(b)),
             }
@@ -529,30 +525,89 @@ impl BookGenres {
     }
 }
 
-/// Random Items as a provenance-neutral source: the terminal Random
-/// slot. Candidates carry [`Reason::Exploration`]: a random pick has no
-/// model-specific story to tell.
+/// One serving slot's source as the engine installs it: the value that
+/// emits the slot's candidates, says whether it retrieves exhaustively,
+/// and ranks a pool by the score it retrieves by, so the three cannot
+/// disagree. Dispatch is a match, not a boxed trait object.
 #[derive(Debug, Clone, Copy)]
-pub struct FallbackSource<'a> {
-    random: &'a RandomItems,
+pub(crate) enum SlotSource<'a> {
+    /// BPR's CF-neighbours source.
+    Cf(CfNeighboursSource<'a>),
+    /// Closest Items' content-similar source.
+    Content(ContentSimilarSource<'a>),
+    /// The Most Read Items source.
+    MostRead(MostReadSource<'a>),
+    /// Random Items, the terminal slot: its candidates carry
+    /// [`Reason::Exploration`], since a random pick has no model-specific
+    /// story to tell.
+    Random(&'a RandomItems),
 }
 
-impl<'a> FallbackSource<'a> {
-    /// Wraps the fitted Random Items fallback.
-    #[must_use]
-    pub fn new(random: &'a RandomItems) -> Self {
-        Self { random }
+impl SlotSource<'_> {
+    /// [`CandidateSource::emit_batch`] of the slot's source.
+    pub(crate) fn emit_batch(&self, users: &[UserIdx], n: usize, out: &mut Vec<Vec<Candidate>>) {
+        match self {
+            Self::Cf(source) => source.emit_batch(users, n, out),
+            Self::Content(source) => source.emit_batch(users, n, out),
+            Self::MostRead(source) => source.emit_batch(users, n, out),
+            Self::Random(random) => {
+                let id = SourceId::Fallback(ModelSlot::Random);
+                emit_ranked(*random, id, users, n, out, |_| |_| Reason::Exploration);
+            }
+        }
     }
-}
 
-impl CandidateSource for FallbackSource<'_> {
-    fn id(&self) -> SourceId {
-        SourceId::Fallback(ModelSlot::Random)
+    /// Whether the source emits its exact top `n` under the scores
+    /// [`SlotSource::rank_into`] ranks by, ties toward the lower index:
+    /// the CF and content sources without an IVF index (the quantized CF
+    /// scan uses its scorer's row dot), and Most Read, whose f32 scores
+    /// order exactly as its read counts below 2^24. An IVF probe can miss
+    /// books a later source finds, and Random's shuffle is not the order
+    /// of its hash scores.
+    pub(crate) fn exhaustive(&self) -> bool {
+        match self {
+            Self::Cf(source) => source.ivf.is_none(),
+            Self::Content(source) => source.ivf.is_none(),
+            Self::MostRead(_) => true,
+            Self::Random(_) => false,
+        }
     }
 
-    fn emit_batch(&self, users: &[UserIdx], pool_size: usize, out: &mut Vec<Vec<Candidate>>) {
-        emit_ranked(self.random, self.id(), users, pool_size, out, |_| {
-            |_| Reason::Exploration
-        });
+    /// Ranks `user`'s `pool` into its top `k` (see [`rank_pool_into`])
+    /// by the slot's score: the CF source's scorer, Closest Items' Eq. 1
+    /// query (built once into `query`) dotted as
+    /// [`ClosestItems`]'s `score` does, or the model's own `score`.
+    pub(crate) fn rank_into(
+        &self,
+        user: UserIdx,
+        pool: &[Candidate],
+        k: usize,
+        query: &mut Vec<f32>,
+        top: &mut TopK,
+        out: &mut Vec<u32>,
+    ) {
+        match self {
+            Self::Cf(source) => rank_pool_into(pool, k, source.scorer(user), top, out),
+            Self::Content(source) => {
+                let known = source.closest.query_into(user, query);
+                let query = query.as_slice();
+                let store = source.closest.store();
+                let score = |b: u32| {
+                    if known {
+                        vecops::dot(query, store.embedding(b as usize))
+                    } else {
+                        0.0
+                    }
+                };
+                rank_pool_into(pool, k, score, top, out);
+            }
+            Self::MostRead(source) => {
+                let score = |b| source.most_read.score(user, BookIdx(b));
+                rank_pool_into(pool, k, score, top, out);
+            }
+            Self::Random(random) => {
+                rank_pool_into(pool, k, |b| random.score(user, BookIdx(b)), top, out);
+            }
+        }
     }
 }

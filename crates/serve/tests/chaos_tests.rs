@@ -14,6 +14,7 @@ use rm_serve::fault::{CallWindow, FaultPlan};
 use rm_serve::pipeline::{Candidate, CandidateFilter, FilterCtx};
 use rm_serve::registry::MANIFEST_FILE;
 use rm_util::clock::{Backoff, Clock, FakeClock};
+use rm_util::trace::{Tracer, Value};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
@@ -370,7 +371,8 @@ fn request_deadline_cancels_the_widened_primary() {
                 ModelSlot::MostRead,
             ])
             .request_budget(Duration::from_millis(30))
-            .no_breaker();
+            .no_breaker()
+            .tracer(Arc::new(Tracer::enabled(1024, clock.clone())));
         if let Some(filter) = filter {
             builder = builder.filter(filter);
         }
@@ -406,6 +408,54 @@ fn request_deadline_cancels_the_widened_primary() {
     let m = batch.metrics();
     assert_eq!(m.deadline_skips, 2);
     assert_eq!(m.served, [0; ModelSlot::COUNT]);
+    // The trace balances: `deadline_expired` events name every skipped
+    // user once, the waiting reader too.
+    let skipped: u64 = batch
+        .tracer()
+        .drain()
+        .iter()
+        .filter(|e| e.name == "deadline_expired")
+        .flat_map(|e| &e.fields)
+        .map(|field| match field {
+            ("skipped", Value::U64(n)) => *n,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(skipped, m.deadline_skips);
+    fx.cleanup();
+}
+
+/// A failed slot call's fallback answer is not cached, since it would
+/// outlive the fault: BPR errs once, the first call answers Closest
+/// Items' top 5, and the second finds BPR healthy and answers (and
+/// caches) BPR's, which the third hits. A slot degraded at load is no
+/// transient fault: its fallback answer is cached for the epoch.
+#[test]
+fn a_transient_fault_is_not_cached() {
+    let fx = train_fixture("transient-fault");
+    let user = user_with_history(&fx.train);
+    let (bpr, closest) = (fx.bpr.recommend(user, 5), fx.closest.recommend(user, 5));
+    assert_ne!(bpr, closest);
+    let plan = FaultPlan::none().error_in(ModelSlot::Bpr, CallWindow::first(1));
+    let engine =
+        ServingEngine::load_with_faults(&fx.registry, &fx.train, EngineConfig::default(), plan)
+            .expect("engine loads");
+    assert_eq!(engine.recommend(user, 5), closest);
+    assert_eq!(engine.recommend(user, 5), bpr);
+    assert_eq!(engine.metrics().cache_hits, 0);
+    assert_eq!(engine.recommend(user, 5), bpr);
+    assert_eq!(engine.metrics().cache_hits, 1);
+
+    let corrupt = FaultPlan::none().corrupt_on_save(ModelSlot::Bpr);
+    fx.registry
+        .corrupt_on_save(&corrupt)
+        .expect("corrupt saved artifacts");
+    let degraded = ServingEngine::load(&fx.registry, &fx.train, EngineConfig::default())
+        .expect("load degrades, never fails");
+    assert_eq!(degraded.degraded()[0].0, ModelSlot::Bpr);
+    assert_eq!(degraded.recommend(user, 5), closest);
+    assert_eq!(degraded.recommend(user, 5), closest);
+    assert_eq!(degraded.metrics().cache_hits, 1);
     fx.cleanup();
 }
 
